@@ -1,44 +1,27 @@
-"""Scaling benchmark: dense-kernel engine vs the pre-kernel engine path.
+"""Scaling trajectory: query accounting versus ``|G|`` past the table limit.
 
-The dense-id refactor makes int64 ids the currency from the hiding oracle
-down to the linear algebra: Cayley tables are bulk-filled by per-family
-``DenseKernel`` batch arithmetic (no scalar ``multiply`` in the fill loops),
-coset labels are computed a block of ids at a time, and groups past the
-table limit get a table-free ``"kernel"`` engine mode.  This benchmark
-commits the resulting trajectory as ``BENCH_scaling.json``: wall-clock and
-query totals versus ``|G|`` for three group families, with the dihedral
-family reaching ``|G| = 16384`` and the extraspecial family ``|G| = 24389``
-— an order of magnitude beyond the largest group in any other committed
-BENCH.
+Commits ``BENCH_scaling.json``: for three group families, the group order,
+the strategy the dispatcher chose and the full query report of one cold
+verified solve per point, with the dihedral family reaching ``|G| = 16384``
+and the extraspecial family ``|G| = 24389`` — an order of magnitude beyond
+the largest group in any other committed BENCH, on both sides of the
+engine's table/kernel boundary.
 
-Methodology — cold end-to-end runs, not steady state: every run builds a
-fresh instance (fresh group, fresh engine, fresh oracle caches) and solves
-it, so the measurement includes exactly the table-fill and labelling work
-the dense kernels accelerate.  The baseline runs under
-:func:`repro.groups.engine.kernel_disabled`, which reproduces the
-pre-kernel engine byte-for-byte (lazy scalar fills, sparse mode past the
-table limit); everything else — seeds, batch sampler, engine use — is
-identical.  Query accounting must not depend on the route: the benchmark
-asserts the per-row query reports of the two configurations are equal and
-stores the shared report in the row.
+Every run builds a fresh instance (fresh group, fresh engine, fresh oracle
+caches) and solves it at the fixed seed, so the rows are deterministic and
+machine independent; the CI ``scaling-smoke`` job re-runs every point and
+diffs the query columns against the committed file.  Wall-clock time is
+not recorded here: ``perfbench`` (``python3 perfbench/run.py --workload
+solve-large``) times the same solves cold, as median and p90 over repeats.
 
 Run directly::
 
-    PYTHONPATH=src python benchmarks/bench_scaling.py [--smoke] [--out DIR]
-
-``--smoke`` restricts each family to its first (smallest) grid point — the
-subset the CI ``scaling-smoke`` job re-measures and diffs against the
-committed file (query columns only; wall-clock is machine-dependent).
-
-Also exposed as a pytest-style check (``test_scaling_speedup``) asserting
-the dense path wins by >= 3x on the aggregate over the largest points.
+    PYTHONPATH=src python benchmarks/bench_scaling.py [--out DIR]
 """
 
 from __future__ import annotations
 
 import argparse
-import time
-from contextlib import nullcontext
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -48,120 +31,62 @@ from repro.experiments.registry import build_instance
 from repro.experiments.results import write_bench
 from repro.experiments.specs import DEFAULT_SEED, derive_seed
 from repro.experiments.workloads import SCALING_AXES
-from repro.groups.engine import kernel_disabled
 from repro.quantum.sampling import FourierSampler
 
 SEED = DEFAULT_SEED
 
 
-def scaling_points(smoke: bool = False) -> List[Tuple[str, str, Dict[str, object]]]:
+def scaling_points() -> List[Tuple[str, str, Dict[str, object]]]:
     """``(label, family, params)`` rows from the declared scaling axes."""
     rows: List[Tuple[str, str, Dict[str, object]]] = []
     for axis in SCALING_AXES:
         grid: Dict[str, List[object]] = dict(axis["grid"])  # type: ignore[arg-type]
         ((key, values),) = grid.items()
-        for value in values[:1] if smoke else values:
+        for value in values:
             rows.append((str(axis["label"]), str(axis["family"]), {key: value}))
     return rows
 
 
-def _solve_cold(family: str, params: Dict[str, object]):
-    """One cold run: fresh instance (fresh group/engine/caches), then solve."""
+def bench_point(family: str, params: Dict[str, object]) -> Dict[str, object]:
+    """One cold verified solve of a grid point and its query accounting."""
     instance = build_instance(family, params, np.random.default_rng(derive_seed(SEED, 0)))
-    sampler = FourierSampler(backend="auto", rng=np.random.default_rng(SEED), batch=True)
-    solution = solve_hsp(instance, sampler=sampler, use_engine=True)
+    sampler = FourierSampler(backend="auto", rng=np.random.default_rng(SEED))
+    solution = solve_hsp(instance, sampler=sampler)
     solved = instance.verify(solution.generators or [instance.group.identity()])
     assert solved, f"{family} {params} returned a wrong subgroup"
-    order = instance.group.group.order()
-    return solution, instance.query_report(), int(order)
-
-
-def bench_point(
-    family: str, params: Dict[str, object], repeats: int = 2
-) -> Dict[str, object]:
-    """Cold best-of-``repeats`` timings of one grid point in both configurations."""
-    timings: Dict[str, float] = {}
-    reports: Dict[str, Dict[str, int]] = {}
-    order = 0
-    strategy = ""
-    for config in ("baseline", "dense"):
-        context = kernel_disabled() if config == "baseline" else nullcontext()
-        best = float("inf")
-        with context:
-            for _ in range(repeats):
-                start = time.perf_counter()
-                solution, report, order = _solve_cold(family, params)
-                best = min(best, time.perf_counter() - start)
-            strategy = solution.strategy
-        timings[config] = best
-        reports[config] = report
-    assert reports["baseline"] == reports["dense"], (
-        f"query accounting diverged on {family} {params}: "
-        f"baseline={reports['baseline']} dense={reports['dense']}"
-    )
     return {
         "family": family,
         "params": {k: list(v) if isinstance(v, tuple) else v for k, v in params.items()},
-        "group_order": order,
-        "strategy": strategy,
-        "baseline_seconds": timings["baseline"],
-        "dense_seconds": timings["dense"],
-        "speedup": timings["baseline"] / timings["dense"],
-        "query_report": reports["dense"],
+        "group_order": int(instance.group.group.order()),
+        "strategy": solution.strategy,
+        "query_report": instance.query_report(),
     }
 
 
-def run_all(smoke: bool = False, repeats: int = 2) -> List[Dict[str, object]]:
-    return [bench_point(family, params, repeats=repeats) for _, family, params in scaling_points(smoke)]
-
-
-def aggregate_speedup(rows: List[Dict[str, object]]) -> float:
-    """Aggregate speedup over the largest point of each family."""
-    largest: Dict[str, Dict[str, object]] = {}
-    for row in rows:
-        family = str(row["family"])
-        if family not in largest or row["group_order"] > largest[family]["group_order"]:
-            largest[family] = row
-    top = list(largest.values())
-    return sum(float(r["baseline_seconds"]) for r in top) / sum(
-        float(r["dense_seconds"]) for r in top
-    )
+def run_all() -> List[Dict[str, object]]:
+    return [bench_point(family, params) for _, family, params in scaling_points()]
 
 
 def persist(rows: List[Dict[str, object]], out_dir: str = ".") -> str:
     """Write the trajectory as ``BENCH_scaling.json``."""
-    payload = {
-        "benchmark": "scaling-dense-vs-prekernel",
-        "seed": SEED,
-        "rows": rows,
-        "aggregate": {"largest_point_speedup": aggregate_speedup(rows)},
-    }
+    payload = {"benchmark": "scaling-query-accounting", "seed": SEED, "rows": rows}
     return write_bench(out_dir, "scaling", payload)
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true", help="first grid point per family only")
     parser.add_argument("--out", default=".", help="directory for BENCH_scaling.json")
-    parser.add_argument("--repeats", type=int, default=2, help="cold runs per configuration")
     args = parser.parse_args()
-    rows = run_all(smoke=args.smoke, repeats=args.repeats)
-    print(f"{'family':<20} {'|G|':>7} {'strategy':<22} {'baseline':>10} {'dense':>10} {'speedup':>8}")
+    rows = run_all()
+    print(f"{'family':<20} {'|G|':>7} {'strategy':<18} {'quantum':>8} {'classical':>10} {'mults':>9}")
     for row in rows:
+        report = row["query_report"]
         print(
-            f"{row['family']:<20} {row['group_order']:>7} {row['strategy']:<22} "
-            f"{float(row['baseline_seconds']) * 1e3:>8.1f}ms {float(row['dense_seconds']) * 1e3:>8.1f}ms "
-            f"{float(row['speedup']):>7.1f}x"
+            f"{row['family']:<20} {row['group_order']:>7} {row['strategy']:<18} "
+            f"{report.get('quantum_queries', 0):>8} {report.get('classical_queries', 0):>10} "
+            f"{report.get('group_multiplications', 0):>9}"
         )
-    path = persist(rows, args.out)
-    print(f"\naggregate speedup over largest points: {aggregate_speedup(rows):.1f}x (target: >= 3x)")
-    print(f"wrote {path}")
-
-
-def test_scaling_speedup():
-    """The dense path must beat the pre-kernel path >= 3x on the largest points."""
-    aggregate = aggregate_speedup(run_all())
-    assert aggregate >= 3.0, f"aggregate speedup {aggregate:.2f}x below target"
+    print(f"wrote {persist(rows, args.out)}")
 
 
 if __name__ == "__main__":

@@ -40,9 +40,9 @@ the bulk oracle APIs (``BlackBoxGroup.multiply_many``,
 ``HidingOracle.evaluate_many``) when a usable dense encoding exists, and
 fall back to the original per-element code otherwise.  Query accounting is
 bulk-equivalent by construction: batch operations report exactly the totals
-of the scalar loops they replace (``tests/test_groups_engine.py``), and
-``benchmarks/bench_engine.py`` measures the resulting speedup (>= 3x on the
-Fourier-sampling-dominated workloads).
+of the scalar loops they replace (``tests/test_groups_engine.py``; the
+engine-less reference route lives in ``tests/reference``), and ``perfbench``
+measures the solver stack end to end and per layer.
 
 Quick start
 -----------

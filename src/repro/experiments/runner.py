@@ -55,23 +55,21 @@ from repro.experiments.results import (
     write_bench,
     write_journal_header,
 )
-from repro.experiments.specs import RunSpec, SamplerSpec, SweepSpec
-from repro.groups.engine import engine_cache, engine_disabled
+from repro.experiments.specs import RunSpec, SweepSpec
+from repro.groups.engine import engine_cache
 from repro.obs import metrics as obs_metrics
 from repro import obs
-from repro.quantum.sampling import FourierSampler
 
 __all__ = [
     "SweepAborted",
     "execute_batch",
     "execute_run",
     "execute_run_safe",
-    "make_sampler",
     "run_sweep",
 ]
 
-#: Recognised ``solver_options`` keys.  Strategy, sampler and engine use are
-#: first-class ``SweepSpec`` fields; instance parameters belong in the grid;
+#: Recognised ``solver_options`` keys.  Strategy and sampler are first-class
+#: ``SweepSpec`` fields; instance parameters belong in the grid;
 #: structural promises belong to the registry family.  Validated here so a
 #: typo fails the sweep with a clear message instead of a worker TypeError.
 #: ``confidence`` tunes the Fourier-sampling stopping rule (success
@@ -101,25 +99,6 @@ class SweepAborted(RuntimeError):
             f"sweep {sweep!r} aborted: {failures} failed run(s) exceed "
             f"--max-failures {max_failures}{hint}"
         )
-
-
-def make_sampler(spec: SamplerSpec, rng: np.random.Generator, pool=None) -> FourierSampler:
-    """The Fourier sampler described by ``spec``, seeded with ``rng``.
-
-    ``pool`` is the executor for shard tasks when ``spec.shards`` is set;
-    ``None`` runs the shard blocks inline with identical samples and
-    accounting.  Pool-executed runs always shard inline — a worker process
-    must not spawn a nested pool — so a pool only reaches the sampler on the
-    ``workers=1`` path (see :func:`run_sweep`).
-    """
-    return FourierSampler(
-        backend=spec.backend,
-        rng=rng,
-        statevector_limit=spec.statevector_limit,
-        batch=spec.batch,
-        shards=spec.shards,
-        shard_pool=pool,
-    )
 
 
 def execute_run(run: RunSpec, shard_pool=None) -> RunRecord:
@@ -162,11 +141,7 @@ def _execute_run_impl(run: RunSpec, shard_pool=None) -> RunRecord:
     cache_dir = options.pop("engine_cache_dir", None)
     confidence = options.pop("confidence", None)
     noise = NoiseSpec.parse(options.pop("noise", "none"))
-    if not run.engine:
-        # The scalar baseline: no engines anywhere (a cache_dir option is
-        # meaningless without an engine and is deliberately ignored).
-        context = engine_disabled()
-    elif cache_dir is not None:
+    if cache_dir is not None:
         # Instance builders install engines implicitly while constructing
         # coset-label oracles; the context makes those installations back
         # their dense tables with the sweep's persistent cache.
@@ -176,7 +151,7 @@ def _execute_run_impl(run: RunSpec, shard_pool=None) -> RunRecord:
     with context:
         instance = build_instance(run.family, run.instance_params(), rng)
         base = instance.group.group if isinstance(instance.group, BlackBoxGroup) else instance.group
-        sampler = make_sampler(run.sampler, rng, pool=shard_pool)
+        sampler = run.sampler.build(rng, pool=shard_pool)
         if noise is not None:
             # Channel randomness derives from the run seed through its own
             # domain-separated SeedSequence stream — the main ``rng`` above
@@ -189,7 +164,6 @@ def _execute_run_impl(run: RunSpec, shard_pool=None) -> RunRecord:
             instance,
             strategy=run.strategy,
             sampler=sampler,
-            use_engine=run.engine,
             confidence=confidence,
             noise=noise,
         )
@@ -299,7 +273,7 @@ def execute_batch(
     ``sampler_shards`` is the inline path's sampler sharding: a single
     executor shared by every run of the batch (a pooled batch must not spawn
     nested pools, so it is ignored for ``workers > 1`` — see
-    :func:`make_sampler`).
+    :meth:`~repro.experiments.specs.SamplerSpec.build`).
 
     ``trace``/``profile_dir`` configure observability inside pool worker
     processes (the caller configures its own process); both default to off.

@@ -43,6 +43,20 @@ def derive_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence([int(master), int(index)]).generate_state(1, np.uint64)[0])
 
 
+def _reject_removed_route(data: Mapping, key: str, removed: str) -> None:
+    """Refuse a spec that selects a route this version no longer has.
+
+    Specs written by earlier versions carry ``key`` (always ``true`` for
+    the one route that remains, which is accepted); any other value asked
+    for ``removed`` and must not silently run on the remaining route.
+    """
+    if data.get(key, True) is not True:
+        raise ValueError(
+            f"{key}={data[key]!r} selects the {removed}, which was removed; "
+            f"drop the {key!r} key to run on the single remaining route"
+        )
+
+
 def _freeze(value):
     """Recursively convert lists/tuples to tuples (hashable, picklable)."""
     if isinstance(value, (list, tuple)):
@@ -62,14 +76,12 @@ class SamplerSpec:
     """Configuration of the :class:`~repro.quantum.sampling.FourierSampler`."""
 
     backend: str = "auto"
-    batch: bool = True
     shards: Optional[int] = None
     statevector_limit: int = 1 << 14
 
     def to_json_dict(self) -> Dict[str, object]:
         return {
             "backend": self.backend,
-            "batch": self.batch,
             "shards": self.shards,
             "statevector_limit": self.statevector_limit,
         }
@@ -77,12 +89,33 @@ class SamplerSpec:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "SamplerSpec":
         """Rebuild a sampler spec from :meth:`to_json_dict` output."""
+        _reject_removed_route(data, "batch", "per-round scalar sampler")
         shards = data.get("shards")
         return cls(
             backend=str(data.get("backend", "auto")),
-            batch=bool(data.get("batch", True)),
             shards=None if shards is None else int(shards),
             statevector_limit=int(data.get("statevector_limit", 1 << 14)),
+        )
+
+    def build(self, rng: Optional[np.random.Generator] = None, pool=None):
+        """The :class:`~repro.quantum.sampling.FourierSampler` this spec describes.
+
+        Its constructor is the one place the configuration is validated
+        (unknown backend, non-positive shards).  ``pool`` is the executor
+        for shard tasks when ``shards`` is set; ``None`` runs the shard
+        blocks inline with identical samples and accounting.  Pool-executed
+        runs always shard inline — a worker process must not spawn a nested
+        pool — so a pool only reaches the sampler on the ``workers=1`` path
+        (see :func:`repro.experiments.runner.run_sweep`).
+        """
+        from repro.quantum.sampling import FourierSampler
+
+        return FourierSampler(
+            backend=self.backend,
+            rng=rng,
+            statevector_limit=self.statevector_limit,
+            shards=self.shards,
+            shard_pool=pool,
         )
 
 
@@ -104,7 +137,6 @@ class RunSpec:
     strategy: str = "auto"
     sampler: SamplerSpec = field(default_factory=SamplerSpec)
     solver_options: Tuple[Tuple[str, object], ...] = ()
-    engine: bool = True
 
     def params_dict(self) -> Dict[str, object]:
         return dict(self.params)
@@ -135,7 +167,6 @@ class RunSpec:
             "strategy": self.strategy,
             "sampler": self.sampler.to_json_dict(),
             "solver_options": {key: _thaw(value) for key, value in self.solver_options},
-            "engine": self.engine,
         }
 
     @classmethod
@@ -145,6 +176,7 @@ class RunSpec:
         The JSON round-trip turns tuples into lists; re-freezing restores
         the exact original dataclass (asserted by equality in the tests).
         """
+        _reject_removed_route(data, "engine", "engine-disabled scalar route")
         return cls(
             sweep=str(data["sweep"]),
             index=int(data["index"]),
@@ -157,7 +189,6 @@ class RunSpec:
             solver_options=tuple(
                 sorted((str(k), _freeze(v)) for k, v in dict(data.get("solver_options", {})).items())
             ),
-            engine=bool(data.get("engine", True)),
         )
 
 
@@ -168,9 +199,11 @@ class SweepSpec:
     ``grid`` maps parameter names to value tuples; expansion walks the
     cartesian product with the keys in sorted order, then the repeats, so
     run indices (and hence seeds) are a pure function of the spec.
-    ``engine=False`` declares the scalar baseline configuration: instances
-    are built and solved with the Cayley engine disabled
-    (:func:`repro.groups.engine.engine_disabled`).
+    There is no route option: every run takes the one solve route of
+    :func:`repro.core.solver.solve_hsp`; ``sampler`` chooses the
+    Fourier-sampling backend and sharding.  :meth:`expand` validates the
+    sampler and any ``noise`` axis, so a bad configuration fails the sweep
+    up front instead of failing every run.
     """
 
     name: str
@@ -181,7 +214,6 @@ class SweepSpec:
     strategy: str = "auto"
     sampler: SamplerSpec = field(default_factory=SamplerSpec)
     solver_options: Tuple[Tuple[str, object], ...] = ()
-    engine: bool = True
     description: str = ""
 
     @classmethod
@@ -231,6 +263,7 @@ class SweepSpec:
 
     def expand(self) -> List[RunSpec]:
         """The full deterministic run list of the sweep."""
+        self.sampler.build()  # validate at expansion time
         runs: List[RunSpec] = []
         index = 0
         for point in self.points():
@@ -259,7 +292,6 @@ class SweepSpec:
                         strategy=strategy,
                         sampler=self.sampler,
                         solver_options=options,
-                        engine=self.engine,
                     )
                 )
                 index += 1
@@ -276,7 +308,6 @@ class SweepSpec:
             "strategy": self.strategy,
             "sampler": self.sampler.to_json_dict(),
             "solver_options": {key: _thaw(value) for key, value in self.solver_options},
-            "engine": self.engine,
             "description": self.description,
         }
 
@@ -289,6 +320,7 @@ class SweepSpec:
         journal shard and (in ``collect``) to recompute the expected run
         list.  Round-trips exactly: ``from_json_dict(to_json_dict(s)) == s``.
         """
+        _reject_removed_route(data, "engine", "engine-disabled scalar route")
         return cls.from_grid(
             name=str(data["name"]),
             family=str(data["family"]),
@@ -298,6 +330,5 @@ class SweepSpec:
             strategy=str(data.get("strategy", "auto")),
             sampler=SamplerSpec.from_json_dict(dict(data.get("sampler", {}))),
             solver_options=dict(data.get("solver_options", {})),
-            engine=bool(data.get("engine", True)),
             description=str(data.get("description", "")),
         )

@@ -48,8 +48,6 @@ __all__ = [
     "CayleyBackend",
     "get_engine",
     "maybe_engine",
-    "engine_disabled",
-    "kernel_disabled",
     "engine_cache",
     "cache_entries",
     "prune_cache",
@@ -266,10 +264,8 @@ class CayleyBackend:
         self.full_enumeration = False
         self._kernel_rows: Optional[np.ndarray] = None
         self._row_index: Optional[_RowIndex] = None
-        kernel = None
-        if not _KERNEL_DISABLED:
-            factory = getattr(group, "dense_kernel", None)
-            kernel = factory() if factory is not None else None
+        factory = getattr(group, "dense_kernel", None)
+        kernel = factory() if factory is not None else None
         self.kernel = kernel
         order = _cheap_order(group)
         self.group_order = order
@@ -694,12 +690,9 @@ class CayleyBackend:
                 self._subgroup_cache[key] = closure
             return closure
         if self._kernel_rows is None:
-            # Pre-kernel closure, kept byte-for-byte for engines without a
-            # batch kernel (including everything built under
-            # ``kernel_disabled()``): plain quadratic doubling, whose pair
-            # products double as lazy table fills.  ``bench_scaling``
-            # baselines rely on this branch reproducing the pre-refactor
-            # engine path exactly.
+            # Table-mode groups without a batch kernel (no ``dense_kernel``
+            # factory): plain quadratic doubling, whose pair products
+            # double as lazy table fills.
             current = np.unique(
                 np.concatenate([gen_ids, self.inv_many(gen_ids), [self.identity_id]])
             )
@@ -958,58 +951,6 @@ def get_engine(
     return engine
 
 
-#: When true, :func:`maybe_engine` declines to build or return engines; set
-#: through :func:`engine_disabled` to force the scalar per-element paths.
-_ENGINE_DISABLED = False
-
-#: When true, newly built engines ignore dense kernels entirely — table
-#: fills revert to per-pair scalar ``multiply`` and the ``"kernel"`` mode is
-#: unavailable.  Set through :func:`kernel_disabled`; this reproduces the
-#: pre-kernel engine exactly and is the baseline configuration of the
-#: scaling benchmark.
-_KERNEL_DISABLED = False
-
-
-@contextmanager
-def kernel_disabled():
-    """Context manager forcing engines built inside it onto scalar fills.
-
-    Unlike :func:`engine_disabled` the Cayley engine itself stays on — ids,
-    lazy tables and memoisation all work as before the dense kernels existed
-    — but no :class:`~repro.groups.base.DenseKernel` is consulted, so every
-    table fill goes through the group's scalar ``multiply``/``inverse``.
-    Query accounting is unaffected (the engine never counts).  Engines
-    *already installed* on a group keep their kernels; the context only
-    affects constructions inside it.
-    """
-    global _KERNEL_DISABLED
-    previous = _KERNEL_DISABLED
-    _KERNEL_DISABLED = True
-    try:
-        yield
-    finally:
-        _KERNEL_DISABLED = previous
-
-
-@contextmanager
-def engine_disabled():
-    """Context manager forcing the engine-less scalar configuration.
-
-    While active, :func:`maybe_engine` returns ``None`` everywhere — instance
-    construction falls back to min-encoding coset labels and the solvers'
-    batch APIs run as plain scalar loops.  This is how the experiment
-    harness realises its pre-engine baseline configuration without threading
-    a flag through every construction site.  Query accounting is unaffected.
-    """
-    global _ENGINE_DISABLED
-    previous = _ENGINE_DISABLED
-    _ENGINE_DISABLED = True
-    try:
-        yield
-    finally:
-        _ENGINE_DISABLED = previous
-
-
 #: Default ``cache_dir`` applied by :func:`maybe_engine` when the caller does
 #: not pass one; set through :func:`engine_cache`.
 _DEFAULT_CACHE_DIR: Optional[str] = None
@@ -1118,8 +1059,6 @@ def maybe_engine(
     memoizes the *uncounted* arithmetic — the wrapper keeps doing the (bulk)
     accounting.
     """
-    if _ENGINE_DISABLED:
-        return None
     if cache_dir is None:
         cache_dir = _DEFAULT_CACHE_DIR
     inner = getattr(group, "group", None)

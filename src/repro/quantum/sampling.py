@@ -178,6 +178,14 @@ class SubgroupStructureOracle(AbelianHSPOracle):
 class FourierSampler:
     """Samples dual-group elements from the Fourier-sampling distribution.
 
+    Both backends amortise work across the rounds of a request: the
+    statevector backend scans the domain into cosets *once per oracle* and
+    caches the Fourier distribution, and the analytic backend caches the
+    dual decomposition and draws whole coefficient blocks with vectorised
+    lattice arithmetic.  The per-round simulation these replace is kept as
+    a differential reference in ``tests/reference``; the sampling
+    distribution and the query accounting are the same.
+
     Parameters
     ----------
     backend:
@@ -187,15 +195,6 @@ class FourierSampler:
         NumPy random generator (reproducibility of every experiment).
     statevector_limit:
         Largest domain size simulated with the dense backend under ``auto``.
-    batch:
-        When true (the default) the backends amortise work across rounds:
-        the statevector backend partitions the domain into cosets *once per
-        oracle* and caches the per-coset Fourier distributions, and the
-        analytic backend caches the dual decomposition and draws whole
-        coefficient blocks with vectorised lattice arithmetic.  ``False``
-        reproduces the original per-round scalar simulation (the comparison
-        baseline of ``benchmarks/bench_engine.py``).  The sampling
-        distribution and the query accounting are identical either way.
     shards:
         Default shard count for batch requests.  A sharded request draws all
         randomness up front on the sampler's own generator — in exactly the
@@ -217,7 +216,6 @@ class FourierSampler:
         backend: str = "auto",
         rng: Optional[np.random.Generator] = None,
         statevector_limit: int = 1 << 14,
-        batch: bool = True,
         shards: Optional[int] = None,
         shard_pool=None,
     ):
@@ -225,12 +223,9 @@ class FourierSampler:
             raise ValueError(f"unknown backend {backend!r}")
         if shards is not None and shards < 1:
             raise ValueError(f"shards must be a positive integer, got {shards}")
-        if shards is not None and not batch:
-            raise ValueError("sharded sampling requires the batch path (batch=True)")
         self.backend = backend
         self.rng = rng if rng is not None else np.random.default_rng()
         self.statevector_limit = statevector_limit
-        self.batch = batch
         self.shards = shards
         self.shard_pool = shard_pool
         self.noise = None
@@ -271,20 +266,13 @@ class FourierSampler:
         if shards is not None and shards < 1:
             raise ValueError(f"shards must be a positive integer, got {shards}")
         pool = pool if pool is not None else self.shard_pool
-        if not self.batch and shards is not None:
-            raise ValueError("sharded sampling requires the batch path (batch=True)")
         backend = self._resolve_backend(oracle)
         oracle.counter.quantum_queries += count
-        with obs_span("sampler.batch", backend=backend, batch=self.batch) as sampler_span:
+        with obs_span("sampler.batch", backend=backend) as sampler_span:
             sampler_span.add("samples", count)
             if shards is not None:
                 sampler_span.set(shards=shards)
-            if not self.batch:
-                if backend == "statevector":
-                    samples = [self._sample_statevector(oracle) for _ in range(count)]
-                else:
-                    samples = [self._sample_analytic(oracle) for _ in range(count)]
-            elif backend == "statevector":
+            if backend == "statevector":
                 samples = self._sample_statevector_batch(oracle, count, shards=shards, pool=pool)
             else:
                 samples = self._sample_analytic_batch(oracle, count, shards=shards, pool=pool)
@@ -296,26 +284,6 @@ class FourierSampler:
         if self.backend != "auto":
             return self.backend
         return "statevector" if oracle.domain_size() <= self.statevector_limit else "analytic"
-
-    # -- statevector backend ---------------------------------------------------------
-    def _sample_statevector(self, oracle: AbelianHSPOracle) -> Vector:
-        module = oracle.module
-        moduli = module.moduli
-        # Evaluate the oracle over the whole domain (the superposition query).
-        labels: Dict[object, List[Vector]] = {}
-        for x in module.elements():
-            labels.setdefault(oracle.evaluate(x), []).append(x)
-        # Measuring the value register selects a coset uniformly (all cosets
-        # have |H| elements).
-        keys = sorted(labels.keys(), key=repr)
-        chosen = keys[int(self.rng.integers(0, len(keys)))]
-        indicator = np.zeros(moduli, dtype=np.float64)
-        for x in labels[chosen]:
-            indicator[x] = 1.0
-        probabilities = qft_probabilities_of_coset(indicator)
-        flat = probabilities.reshape(-1)
-        outcome = int(self.rng.choice(len(flat), p=flat))
-        return tuple(int(v) for v in np.unravel_index(outcome, tuple(moduli)))
 
     # -- batched statevector backend ---------------------------------------------
     def _sample_statevector_batch(
@@ -436,19 +404,6 @@ class FourierSampler:
             value >>= chunks * 62 - bits
             if value < bound:
                 return value
-
-    def _sample_analytic(self, oracle: AbelianHSPOracle) -> Vector:
-        module = oracle.module
-        kernel = oracle.kernel_generators()
-        dual_generators = annihilator(kernel, module.moduli)
-        if not dual_generators:
-            return module.identity()
-        decomposition = cyclic_decomposition(dual_generators, module.moduli)
-        sample = module.identity()
-        for generator, order in decomposition:
-            coefficient = int(self.rng.integers(0, order))
-            sample = module.add(sample, module.scalar(coefficient, generator))
-        return sample
 
     # -- diagnostics -----------------------------------------------------------------------
     def exact_distribution(self, oracle: AbelianHSPOracle) -> np.ndarray:

@@ -15,6 +15,8 @@ from repro.groups.abelian import elementary_abelian_group
 from repro.groups.products import generalized_dihedral
 from repro.quantum.sampling import FourierSampler
 
+from reference import scalar_route
+
 
 def solve_and_verify(group, normal_gens, hidden_generators, rng, **kwargs):
     instance = HSPInstance.from_subgroup(group, hidden_generators)
@@ -171,18 +173,14 @@ class TestEngineRouting:
         return result
 
     def test_general_path_engine_vs_scalar_parity(self):
-        from repro.groups.engine import engine_disabled
-
         engine_result = self._solve()
-        with engine_disabled():
+        with scalar_route():
             scalar_result = self._solve()
         assert engine_result.generators == scalar_result.generators
         assert engine_result.representatives_used == scalar_result.representatives_used
         assert engine_result.query_report == scalar_result.query_report
 
     def test_cyclic_path_engine_vs_scalar_parity(self):
-        from repro.groups.engine import engine_disabled
-
         def run():
             rng = np.random.default_rng(20010202)
             group, normal_gens = wreath_instance(2)
@@ -198,7 +196,7 @@ class TestEngineRouting:
             return result
 
         engine_result = run()
-        with engine_disabled():
+        with scalar_route():
             scalar_result = run()
         assert engine_result.generators == scalar_result.generators
         assert engine_result.query_report == scalar_result.query_report

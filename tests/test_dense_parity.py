@@ -2,12 +2,12 @@
 
 The dense-id refactor makes int64 ids the currency from the hiding oracle
 down to the linear algebra, but the accounting contract is that the route
-must be invisible: at a fixed seed, the dense path and the
-:func:`repro.groups.engine.engine_disabled` scalar path must return the
+must be invisible: at a fixed seed, the dense path and the engine-less
+reference route (:func:`reference.scalar_route`) must return the
 same generators, the same strategy, the same query report, and — through
 the experiment runner — byte-identical journal rows.  These tests pin that
 contract for every family in the instance registry, and a counting test
-double asserts the stronger structural claim behind the BENCH_scaling
+double asserts the stronger structural claim behind the dense-kernel
 speedups: batch-protocol groups never see a scalar ``multiply`` call
 inside the Cayley table fills or the Fourier-sampling label loops.
 """
@@ -22,9 +22,11 @@ from repro.experiments.registry import build_instance, families
 from repro.experiments.results import rows_bytes
 from repro.experiments.runner import run_sweep
 from repro.experiments.specs import DEFAULT_SEED, SweepSpec, derive_seed
-from repro.groups.engine import engine_disabled, get_engine
+from repro.groups.engine import get_engine
 from repro.groups.products import dihedral_semidirect
 from repro.quantum.sampling import FourierSampler
+
+from reference import scalar_route
 
 SEED = DEFAULT_SEED
 
@@ -49,14 +51,15 @@ def test_family_points_cover_registry():
 
 def _solve(family, params, dense):
     """One cold solve; ``dense=False`` forces the scalar per-element paths."""
-    context = nullcontext() if dense else engine_disabled()
+    context = nullcontext() if dense else scalar_route()
     with context:
         instance = build_instance(family, dict(params), np.random.default_rng(derive_seed(SEED, 0)))
-        # The sampler's batch flag is a declared option that changes how many
-        # rounds are drawn; the route comparison holds it fixed so any report
-        # difference is an accounting divergence, not a sampler-profile one.
-        sampler = FourierSampler(backend="auto", rng=np.random.default_rng(SEED), batch=True)
-        solution = solve_hsp(instance, sampler=sampler, use_engine=dense)
+        base = getattr(instance.group, "group", instance.group)
+        assert dense or getattr(base, "_cayley_engine", None) is None
+        # Both routes share the sampler, so any report difference is an
+        # accounting divergence, not a sampler-profile one.
+        sampler = FourierSampler(backend="auto", rng=np.random.default_rng(SEED))
+        solution = solve_hsp(instance, sampler=sampler)
         assert instance.verify(solution.generators or [instance.group.identity()])
     return solution, instance.query_report()
 
@@ -70,24 +73,21 @@ def test_dense_path_matches_scalar_path(family, params):
     assert dense_report == scalar_report
 
 
-def test_journal_rows_identical_across_engine_configurations():
+@pytest.mark.parametrize("family,params", FAMILY_POINTS, ids=[f for f, _ in FAMILY_POINTS])
+def test_journal_rows_identical_across_engine_configurations(family, params):
     """The runner's journal rows must not depend on the execution route.
 
-    Both sweeps carry the same name on purpose: every deterministic row
-    field (sweep, seed, params, generators, query report) must coincide, so
-    the two payloads serialize to the same bytes.
+    The same spec runs on the dense route and on the reference route: every
+    deterministic row field (sweep, seed, params, generators, query report)
+    must coincide, so the two payloads serialize to the same bytes.
     """
-    payloads = {}
-    for engine in (True, False):
-        spec = SweepSpec.from_grid(
-            "dense-parity",
-            "dihedral_rotation",
-            {"n": [8, 12]},
-            repeats=2,
-            engine=engine,
-        )
-        _, payloads[engine] = run_sweep(spec, out_dir=None)
-    assert rows_bytes(payloads[True]) == rows_bytes(payloads[False])
+    grid = {key: [value] for key, value in params.items()}
+    spec = SweepSpec.from_grid("dense-parity", family, grid, repeats=2)
+    _, dense = run_sweep(spec, out_dir=None)
+    with scalar_route():
+        _, scalar = run_sweep(spec, out_dir=None)
+    assert dense["aggregate"]["errors"] == 0
+    assert rows_bytes(dense) == rows_bytes(scalar)
 
 
 # ---------------------------------------------------------------------------

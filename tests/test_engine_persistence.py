@@ -1,11 +1,10 @@
-"""Cayley-table persistence and the engine kill switch.
+"""Cayley-table persistence.
 
 The optional ``cache_dir`` of :class:`~repro.groups.engine.CayleyBackend`
 memory-maps the dense table to disk, keyed by a digest of the group
 description, so a second process (or sweep invocation) reopens the filled
 table and performs *zero* group multiplications for cached products.  The
-cache is off by default.  :func:`~repro.groups.engine.engine_disabled`
-forces the scalar configuration everywhere ``maybe_engine`` is consulted.
+cache is off by default.
 """
 
 import os
@@ -15,8 +14,6 @@ import numpy as np
 from repro.groups.engine import (
     CayleyBackend,
     engine_cache,
-    engine_disabled,
-    get_engine,
     maybe_engine,
 )
 from repro.groups.extraspecial import extraspecial_group
@@ -122,27 +119,3 @@ class TestPersistence:
             a = group.uniform_random_element(rng)
             b = group.uniform_random_element(rng)
             assert engine.element_of(engine.mul(engine.intern(a), engine.intern(b))) == group.multiply(a, b)
-
-
-class TestEngineDisabled:
-    def test_maybe_engine_returns_none_inside_context(self):
-        group = extraspecial_group(3)
-        with engine_disabled():
-            assert maybe_engine(group) is None
-        assert maybe_engine(group) is not None
-
-    def test_context_restores_previous_state_on_error(self):
-        group = extraspecial_group(5)
-        try:
-            with engine_disabled():
-                raise RuntimeError("boom")
-        except RuntimeError:
-            pass
-        assert maybe_engine(group) is not None
-
-    def test_get_engine_still_explicit(self):
-        # engine_disabled guards maybe_engine (the implicit install sites);
-        # an explicit get_engine call remains the caller's decision.
-        group = extraspecial_group(3)
-        with engine_disabled():
-            assert get_engine(group) is not None

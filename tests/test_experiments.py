@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.blackbox.oracle import QueryCounter
+from repro.core.solver import solve_hsp
 from repro.experiments import (
     RunSpec,
     SamplerSpec,
@@ -29,7 +30,19 @@ from repro.experiments.cli import main as cli_main
 from repro.experiments.results import load_bench, rows_bytes
 from repro.experiments.specs import derive_seed
 
+from reference import PerRoundSampler, scalar_route
+
 SEED = 20010202
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: A task file as an earlier version wrote it for an enqueued scalar-route
+#: sweep: the removed route toggles are spelled out.
+SCALAR_ROUTE_TASK = """
+{"sweep": "scalar-hidden-normal", "index": 0, "family": "dihedral_rotation",
+ "params": {"n": 128}, "repeat": 0, "seed": 1234, "strategy": "auto",
+ "sampler": {"backend": "auto", "batch": false, "shards": null, "statevector_limit": 16384},
+ "solver_options": {}, "engine": false}
+"""
 
 
 def tiny_spec(name="tiny", **kwargs):
@@ -82,6 +95,33 @@ class TestSpecs:
     def test_spec_json_round_trip_is_json_safe(self):
         payload = json.dumps(tiny_spec().to_json_dict())
         assert json.loads(payload)["family"] == "dihedral_rotation"
+
+    def test_removed_routes_are_rejected_loudly(self):
+        task = json.loads(SCALAR_ROUTE_TASK)
+        with pytest.raises(ValueError, match="engine=False selects the engine-disabled scalar route"):
+            RunSpec.from_json_dict(task)
+        task["engine"] = True
+        with pytest.raises(ValueError, match="batch=False selects the per-round scalar sampler"):
+            RunSpec.from_json_dict(task)
+        task["sampler"]["batch"] = True
+        accepted = RunSpec.from_json_dict(task)
+        del task["engine"], task["sampler"]["batch"]
+        assert RunSpec.from_json_dict(task) == accepted
+        header = tiny_spec().to_json_dict()
+        with pytest.raises(ValueError, match="engine"):
+            SweepSpec.from_json_dict({**header, "engine": False})
+        assert SweepSpec.from_json_dict({**header, "engine": True}) == tiny_spec()
+
+    @pytest.mark.parametrize(
+        "sampler,message",
+        [(SamplerSpec(shards=0), "shards must be a positive integer"), (SamplerSpec(backend="bogus"), "unknown backend")],
+    )
+    def test_sampler_config_is_validated_at_expansion(self, sampler, message):
+        spec = tiny_spec(sampler=sampler)
+        with pytest.raises(ValueError, match=message):
+            spec.expand()
+        with pytest.raises(ValueError, match=message):
+            run_sweep(spec, workers=1, out_dir=None)
 
 
 class TestRegistry:
@@ -164,12 +204,11 @@ class TestRunnerDeterminism:
         assert rows_bytes(a) == rows_bytes(b)
 
     def test_engine_and_scalar_configs_report_identical_queries(self):
-        # Same sampling path (batch), engine on vs off: the PR 1 accounting
-        # contract — batch/scalar arithmetic report identical totals.
-        engine_spec = tiny_spec("cfg")
-        scalar_spec = tiny_spec("cfg", engine=False)
-        _, engine_payload = run_sweep(engine_spec, workers=1, out_dir=None)
-        _, scalar_payload = run_sweep(scalar_spec, workers=1, out_dir=None)
+        # Same sampler, engine route vs the engine-less reference route: the
+        # accounting contract — batch/scalar arithmetic report identical totals.
+        _, engine_payload = run_sweep(tiny_spec("cfg"), workers=1, out_dir=None)
+        with scalar_route():
+            _, scalar_payload = run_sweep(tiny_spec("cfg"), workers=1, out_dir=None)
         for engine_row, scalar_row in zip(engine_payload["rows"], scalar_payload["rows"]):
             assert engine_row["generators"] == scalar_row["generators"]
             assert engine_row["query_report"] == scalar_row["query_report"]
@@ -190,12 +229,14 @@ class TestRunnerDeterminism:
         assert sorted(os.listdir(cache_dir)) == sorted(cached), "rerun reuses the same cache files"
 
     def test_pre_engine_baseline_configuration_solves(self):
-        # The full scalar profile (engine off AND per-round sampling) is the
-        # bench_engine baseline; its rng consumption differs, so only the
-        # recovered subgroups are compared.
-        scalar_spec = tiny_spec("baseline", engine=False, sampler=SamplerSpec(batch=False))
-        _, payload = run_sweep(scalar_spec, workers=1, out_dir=None)
-        assert payload["aggregate"]["successes"] == payload["aggregate"]["runs"]
+        # The full scalar profile (engine-less route AND per-round sampling)
+        # consumes the generator differently, so only success is checked.
+        for run in tiny_spec("baseline").expand():
+            rng = np.random.default_rng(run.seed)
+            with scalar_route():
+                instance = build_instance(run.family, run.instance_params(), rng)
+                solution = solve_hsp(instance, sampler=PerRoundSampler(rng=rng))
+            assert instance.verify(solution.generators or [instance.group.identity()])
 
 
 class TestWorkloads:
@@ -207,6 +248,22 @@ class TestWorkloads:
     def test_unknown_workload_raises(self):
         with pytest.raises(KeyError, match="unknown workload"):
             get_workload("definitely-not-declared")
+
+    def test_committed_sweep_goldens_match_their_workloads(self):
+        # perfbench sweep-small only checks rows against a golden whose
+        # header equals the spec, so a stale header would silently drop it.
+        names = sorted(
+            name[len("BENCH_") : -len(".json")]
+            for name in os.listdir(ROOT)
+            if name.startswith("BENCH_") and name.endswith(".json")
+        )
+        checked = 0
+        for name in names:
+            payload = load_bench(os.path.join(ROOT, f"BENCH_{name}.json"))
+            if "sweep" in payload:
+                assert payload["sweep"] == get_workload(name).to_json_dict(), name
+                checked += 1
+        assert checked == 13
 
     def test_workload_names_are_unique_specs(self):
         assert len(WORKLOADS) == len({spec.name for spec in WORKLOADS.values()})

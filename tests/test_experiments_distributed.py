@@ -226,7 +226,6 @@ class TestSpecSerialization:
             seed=7,
             sampler=SamplerSpec(backend="analytic", shards=2),
             solver_options={"engine_cache_dir": "/tmp/cache"},
-            engine=False,
         )
         for run in spec.expand():
             round_tripped = RunSpec.from_json_dict(json.loads(json.dumps(run.to_json_dict())))
@@ -241,7 +240,7 @@ class TestSpecSerialization:
             assert round_tripped.expand() == spec.expand()
 
     def test_sampler_spec_round_trips(self):
-        for sampler in (SamplerSpec(), SamplerSpec(backend="statevector", batch=False, shards=3)):
+        for sampler in (SamplerSpec(), SamplerSpec(backend="statevector", shards=3)):
             assert SamplerSpec.from_json_dict(sampler.to_json_dict()) == sampler
 
 

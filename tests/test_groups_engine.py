@@ -12,6 +12,8 @@ Three families of invariants:
   ``HidingOracle`` report exactly the totals of the equivalent scalar loops.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,6 +28,8 @@ from repro.groups.extraspecial import extraspecial_group
 from repro.groups.products import dihedral_semidirect
 from repro.groups.subgroup import generate_subgroup_elements
 from repro.groups.perm import symmetric_group
+
+from reference import PerRoundSampler, scalar_route
 
 settings.register_profile(
     "repro_engine", deadline=None, max_examples=30, suppress_health_check=[HealthCheck.too_slow]
@@ -266,17 +270,17 @@ class TestBatchCounterConsistency:
         from repro.quantum.sampling import FourierSampler
 
         reports = {}
-        for use_engine in (False, True):
-            base = extraspecial_group(3)
-            box = BlackBoxGroup(base, QueryCounter())
-            oracle = hiding_oracle_from_subgroup(base, [((1,), (1,), 0)], counter=box.counter)
-            result = solve_hsp_small_commutator(
-                box,
-                oracle,
-                sampler=FourierSampler(backend="statevector", rng=np.random.default_rng(20010202)),
-                use_engine=use_engine,
-            )
-            reports[use_engine] = result.query_report
+        for dense in (False, True):
+            with nullcontext() if dense else scalar_route():
+                base = extraspecial_group(3)
+                box = BlackBoxGroup(base, QueryCounter())
+                oracle = hiding_oracle_from_subgroup(base, [((1,), (1,), 0)], counter=box.counter)
+                result = solve_hsp_small_commutator(
+                    box,
+                    oracle,
+                    sampler=FourierSampler(backend="statevector", rng=np.random.default_rng(20010202)),
+                )
+            reports[dense] = result.query_report
         assert reports[True] == reports[False]
 
     def test_analytic_batch_sampling_survives_int64_overflowing_moduli(self):
@@ -284,7 +288,7 @@ class TestBatchCounterConsistency:
         from repro.quantum.sampling import FourierSampler, SubgroupStructureOracle
 
         oracle = SubgroupStructureOracle([1 << 64], [(0,)])
-        sampler = FourierSampler(backend="analytic", rng=np.random.default_rng(5), batch=True)
+        sampler = FourierSampler(backend="analytic", rng=np.random.default_rng(5))
         samples = sampler.sample(oracle, 4)
         assert len(samples) == 4
         assert all(0 <= s[0] < (1 << 64) for s in samples)
@@ -296,17 +300,18 @@ class TestBatchCounterConsistency:
         from repro.quantum.sampling import FourierSampler
 
         reports = {}
-        for use_engine in (False, True):
-            group = extraspecial_group(3)
-            instance = HSPInstance.from_subgroup(group, [((1,), (1,), 0)])
-            rng = np.random.default_rng(20010202)
-            result = solve_hsp_small_commutator(
-                group,
-                instance.oracle.fresh_view(),
-                sampler=FourierSampler(backend="statevector", rng=rng, batch=use_engine),
-                commutator_elements=group.commutator_subgroup_elements(),
-                use_engine=use_engine,
-            )
+        for dense in (False, True):
+            with nullcontext() if dense else scalar_route():
+                group = extraspecial_group(3)
+                instance = HSPInstance.from_subgroup(group, [((1,), (1,), 0)])
+                rng = np.random.default_rng(20010202)
+                sampler_class = FourierSampler if dense else PerRoundSampler
+                result = solve_hsp_small_commutator(
+                    group,
+                    instance.oracle.fresh_view(),
+                    sampler=sampler_class(backend="statevector", rng=rng),
+                    commutator_elements=group.commutator_subgroup_elements(),
+                )
             assert instance.verify(result.generators or [group.identity()])
-            reports[use_engine] = result.query_report
+            reports[dense] = result.query_report
         assert reports[True] == reports[False]

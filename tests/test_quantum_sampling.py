@@ -10,6 +10,8 @@ from repro.quantum.sampling import (
     TupleFunctionOracle,
 )
 
+from reference import PerRoundSampler
+
 
 class TestOracles:
     def test_subgroup_structure_oracle_labels(self):
@@ -121,10 +123,10 @@ class TestCountValidation:
     """Non-positive round counts are rejected on every path (no counter bump)."""
 
     @pytest.mark.parametrize("count", [0, -1, -17])
-    @pytest.mark.parametrize("batch", [True, False])
-    def test_non_positive_count_raises(self, count, batch):
+    @pytest.mark.parametrize("sampler_class", [FourierSampler, PerRoundSampler])
+    def test_non_positive_count_raises(self, count, sampler_class):
         oracle = SubgroupStructureOracle([8], [(2,)])
-        sampler = FourierSampler(backend="analytic", rng=np.random.default_rng(0), batch=batch)
+        sampler = sampler_class(backend="analytic", rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="positive count"):
             sampler.sample(oracle, count)
         assert oracle.counter.quantum_queries == 0
@@ -142,8 +144,6 @@ class TestCountValidation:
             FourierSampler(shards=0)
         with pytest.raises(ValueError, match="shards"):
             FourierSampler().sample(oracle, 4, shards=-2)
-        with pytest.raises(ValueError, match="batch path"):
-            FourierSampler(batch=False).sample(oracle, 4, shards=2)
 
 
 class TestShardedSampling:
@@ -210,7 +210,3 @@ class TestShardedSampling:
         sampler = FourierSampler(backend="analytic", rng=np.random.default_rng(8), shards=3)
         for sample in sampler.sample(oracle, 40):
             assert subgroup_contains(dual, sample, module.moduli)
-
-    def test_shards_with_scalar_path_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="batch path"):
-            FourierSampler(batch=False, shards=2)

@@ -3,7 +3,7 @@
 Two full ``solve_hsp`` executions over freshly built but identically seeded
 instances must return the same generators, the same strategy, and the same
 query report — across every dispatch strategy, both sampling backends, and
-both the engine and the scalar execution paths.  This pins down the
+both the amortised sampler and the per-round reference sampler.  This pins down the
 reproducibility contract that the benchmark harness and the paper's query
 counts rely on.
 """
@@ -18,6 +18,8 @@ from repro.groups.catalog import wreath_instance
 from repro.groups.extraspecial import extraspecial_group
 from repro.groups.products import dihedral_semidirect
 from repro.quantum.sampling import FourierSampler
+
+from reference import PerRoundSampler
 
 SEED = 20010202
 
@@ -56,10 +58,10 @@ def build_instance(strategy):
 STRATEGIES = ["abelian", "small_commutator", "hidden_normal", "elementary_abelian_two", "classical"]
 
 
-def run_once(strategy, backend="auto", batch=True):
+def run_once(strategy, backend="auto", sampler_class=FourierSampler):
     instance = build_instance(strategy)
     rng = np.random.default_rng(SEED)
-    sampler = FourierSampler(backend=backend, rng=rng, batch=batch)
+    sampler = sampler_class(backend=backend, rng=rng)
     explicit = strategy if strategy == "classical" else "auto"
     solution = solve_hsp(instance, strategy=explicit, sampler=sampler)
     assert instance.verify(solution.generators or [instance.group.identity()])
@@ -77,10 +79,10 @@ def test_identical_seeds_identical_runs(strategy):
 
 
 @pytest.mark.parametrize("strategy", ["abelian", "small_commutator", "hidden_normal"])
-@pytest.mark.parametrize("batch", [False, True])
-def test_determinism_holds_on_both_sampling_paths(strategy, batch):
-    first = run_once(strategy, batch=batch)
-    second = run_once(strategy, batch=batch)
+@pytest.mark.parametrize("sampler_class", [PerRoundSampler, FourierSampler])
+def test_determinism_holds_on_both_sampling_paths(strategy, sampler_class):
+    first = run_once(strategy, sampler_class=sampler_class)
+    second = run_once(strategy, sampler_class=sampler_class)
     assert first.generators == second.generators
     assert first.query_report == second.query_report
 
