@@ -29,17 +29,16 @@ persistent experiment layer:
     BENCH-vs-journal agreement check;
 ``distributed``
     the queue-backed distributed runner: ``enqueue`` materialises pending
-    runs as claimable tasks on a pluggable queue *transport* — a shared
-    ``QUEUE_<name>/`` directory (atomic-rename leases, mtime heartbeats),
-    a single-file SQLite WAL database (``BEGIN IMMEDIATE`` transactional
-    claims), or a ``serve``d HTTP coordinator URL (workers need no shared
-    mount) — any number of ``work`` processes claim them with
-    heartbeat-based stale reclamation and corrupt-task quarantine, and
-    ``collect`` merges the per-worker shards into a BENCH byte-identical
+    runs as claimable tasks on a pluggable queue *transport* — a
+    single-file SQLite WAL database (``BEGIN IMMEDIATE`` transactional
+    claims) on one host, or a ``serve``d HTTP coordinator URL (workers on
+    many hosts need no shared mount) — any number of ``work`` processes
+    claim them with heartbeat-based stale reclamation and corrupt-task
+    quarantine, and ``collect`` merges the per-worker shards into a BENCH byte-identical
     to a single-process run;
 ``transports``
     the :class:`Transport` protocol (enqueue/claim/heartbeat/release/
-    reclaim/append/enumerate/status) and its directory, SQLite and HTTP
+    reclaim/append/enumerate/status) and its SQLite and HTTP
     implementations;
 ``workloads``
     the declared sweeps (including the migrated ``benchmarks/bench_*``
@@ -74,7 +73,6 @@ from repro.experiments.distributed import (
     collect_queue,
     enqueue_sweep,
     queue_db_path,
-    queue_dir,
     resolve_transport,
     work_queue,
 )
@@ -96,7 +94,6 @@ from repro.experiments.results import (
     write_bench,
 )
 from repro.experiments.transports import (
-    DirectoryTransport,
     HttpTransport,
     SqliteTransport,
     Transport,
@@ -122,7 +119,6 @@ __all__ = [
     "ANALYSES",
     "DEFAULT_SEED",
     "AnalysisDirective",
-    "DirectoryTransport",
     "HttpTransport",
     "LedgerDivergence",
     "QueueBusy",
@@ -161,7 +157,6 @@ __all__ = [
     "merge_journal_records",
     "merge_record_streams",
     "queue_db_path",
-    "queue_dir",
     "resolve_bench",
     "resolve_transport",
     "run_sweep",

@@ -10,19 +10,17 @@ tasks, leases and shard records are JSON round-trippable, so the lifecycle
 here is written against the eight-operation
 :class:`~repro.experiments.transports.base.Transport` protocol — enqueue,
 claim, heartbeat, release, reclaim, shard append, shard enumerate, status —
-and three backends ship:
+and two backends ship, picked by the queue location alone:
 
-* the **directory** transport (``QUEUE_<name>/`` of task files, atomic
-  ``os.rename`` leases, mtime heartbeats, ``.jsonl`` shards) for any shared
-  filesystem, NFS included;
 * the **sqlite** transport (``QUEUE_<name>.sqlite``, WAL mode, ``BEGIN
   IMMEDIATE`` claim transactions over a pending/running/done status table,
   heartbeats as row-timestamp updates, shards as a records table keyed by
-  worker id) for single-file queues on one host;
+  worker id), the default, for queues on one host;
 * the **http** transport (``http://coordinator:8765``), the client half of
   ``python -m repro.experiments serve QUEUE.sqlite`` — the same operations
   as JSON POSTs against a coordinator wrapping a SQLite queue, so workers
-  need only a URL, not a shared mount (no auth; trusted networks only).
+  on many hosts need only a URL, not a shared mount (no auth; trusted
+  networks only).
 
 The lease protocol, for either backend:
 
@@ -87,9 +85,7 @@ from repro.experiments.transports import (
     Transport,
     make_server,
     queue_db_path,
-    queue_dir,
     resolve_transport,
-    shard_path,
 )
 from repro.experiments.transports.http import DEFAULT_PORT as DEFAULT_HTTP_PORT
 
@@ -112,12 +108,10 @@ __all__ = [
     "load_queue_spec",
     "make_server",
     "queue_db_path",
-    "queue_dir",
     "queue_progress",
     "queue_status",
     "reclaim_stale",
     "resolve_transport",
-    "shard_path",
     "work_queue",
 ]
 
@@ -212,14 +206,6 @@ def lease_report(queue: QueueLike) -> List[Dict[str, object]]:
         return transport.lease_details()
 
 
-def _shard_worker_name(shard_id: str) -> str:
-    """The worker id behind a shard id (directory shards are file paths)."""
-    base = os.path.basename(str(shard_id))
-    if base.startswith("shard-") and base.endswith(".jsonl"):
-        return base[len("shard-") : -len(".jsonl")]
-    return str(shard_id)
-
-
 def queue_progress(queue: QueueLike) -> Dict[str, object]:
     """Per-worker progress over the queue's record shards.
 
@@ -234,7 +220,7 @@ def queue_progress(queue: QueueLike) -> Dict[str, object]:
     merged = merge_record_streams(records for _, records in streams)
     workers = [
         {
-            "worker": _shard_worker_name(shard_id),
+            "worker": str(shard_id),
             "records": len(records),
             "errors": sum(1 for r in records.values() if r.status == "error"),
         }
@@ -265,8 +251,8 @@ def reclaim_stale(queue: QueueLike, stale_after: float) -> int:
 
     Staleness is judged by the lease's liveness stamp — refreshed by the
     holder's heartbeat thread while it is alive, frozen the moment it dies.
-    Contending reclaimers race on the same atomic primitive (rename or
-    ``BEGIN IMMEDIATE`` transaction), so each stale lease is reclaimed
+    Contending reclaimers race on the same ``BEGIN IMMEDIATE``
+    transaction, so each stale lease is reclaimed
     exactly once.  Returns the number reclaimed.
     """
     with _opened(queue) as transport:
@@ -282,8 +268,10 @@ def enqueue_sweep(spec: SweepSpec, queue: QueueLike, kind: str = "auto") -> Dict
     shards: errored, quarantined-corrupt and never-executed runs become
     claimable again, exactly like ``run --resume`` retries journaled
     errors.  A queue with tasks or leases still outstanding is refused —
-    two enqueues racing each other would double-issue work.
+    two enqueues racing each other would double-issue work.  The spec is
+    expanded (and so validated) before the queue is touched.
     """
+    runs = spec.expand()
     with _opened(queue, kind) as transport:
         done: Dict[Tuple[int, int], RunRecord] = {}
         if transport.exists():
@@ -310,7 +298,7 @@ def enqueue_sweep(spec: SweepSpec, queue: QueueLike, kind: str = "auto") -> Dict
             }
         else:
             transport.initialise(spec)
-        pending = [run for run in spec.expand() if (run.index, run.seed) not in done]
+        pending = [run for run in runs if (run.index, run.seed) not in done]
         transport.enqueue(pending)
         return {"enqueued": len(pending), "already_done": len(done)}
 

@@ -55,8 +55,7 @@ from repro.experiments.results import (
     write_bench,
     write_journal_header,
 )
-from repro.experiments.specs import RunSpec, SweepSpec
-from repro.groups.engine import engine_cache
+from repro.experiments.specs import RunSpec, SweepSpec, check_solver_options
 from repro.obs import metrics as obs_metrics
 from repro import obs
 
@@ -67,17 +66,6 @@ __all__ = [
     "execute_run_safe",
     "run_sweep",
 ]
-
-#: Recognised ``solver_options`` keys.  Strategy and sampler are first-class
-#: ``SweepSpec`` fields; instance parameters belong in the grid;
-#: structural promises belong to the registry family.  Validated here so a
-#: typo fails the sweep with a clear message instead of a worker TypeError.
-#: ``confidence`` tunes the Fourier-sampling stopping rule (success
-#: probability versus rounds); ``engine_cache_dir`` persists Cayley tables;
-#: ``noise`` is a :mod:`repro.blackbox.noise` spec string installing a
-#: corruption channel on the oracle or sampler.
-SUPPORTED_SOLVER_OPTIONS = frozenset({"engine_cache_dir", "confidence", "noise"})
-
 
 class SweepAborted(RuntimeError):
     """Raised when a sweep exceeds its ``max_failures`` error budget.
@@ -131,51 +119,36 @@ def execute_run(run: RunSpec, shard_pool=None) -> RunRecord:
 def _execute_run_impl(run: RunSpec, shard_pool=None) -> RunRecord:
     rng = np.random.default_rng(run.seed)
     options = run.options_dict()
-    unknown = set(options) - SUPPORTED_SOLVER_OPTIONS
-    if unknown:
-        raise ValueError(
-            f"unsupported solver_options {sorted(unknown)}; supported: "
-            f"{sorted(SUPPORTED_SOLVER_OPTIONS)} (instance parameters go in the "
-            "grid, promises in the registry family)"
-        )
-    cache_dir = options.pop("engine_cache_dir", None)
-    confidence = options.pop("confidence", None)
-    noise = NoiseSpec.parse(options.pop("noise", "none"))
-    if cache_dir is not None:
-        # Instance builders install engines implicitly while constructing
-        # coset-label oracles; the context makes those installations back
-        # their dense tables with the sweep's persistent cache.
-        context = engine_cache(str(cache_dir))
+    check_solver_options(options)
+    confidence = options.get("confidence")
+    noise = NoiseSpec.parse(options.get("noise", "none"))
+    instance = build_instance(run.family, run.instance_params(), rng)
+    base = instance.group.group if isinstance(instance.group, BlackBoxGroup) else instance.group
+    sampler = run.sampler.build(rng, pool=shard_pool)
+    if noise is not None:
+        # Channel randomness derives from the run seed through its own
+        # domain-separated SeedSequence stream — the main ``rng`` above
+        # is never consumed, so the ε=0 (uninstalled) rows are
+        # byte-identical to a no-noise sweep by construction.
+        install_noise(noise, instance, sampler, run.seed)
+        obs.gauge("noise.epsilon", noise.epsilon)
+    start = time.perf_counter()
+    solution = solve_hsp(
+        instance,
+        strategy=run.strategy,
+        sampler=sampler,
+        confidence=confidence,
+        noise=noise,
+    )
+    wall = time.perf_counter() - start
+    if solution.status == "no_convergence":
+        # The strategy failed gracefully under the corruption channel —
+        # there is no candidate to verify.
+        success = False
     else:
-        context = nullcontext()
-    with context:
-        instance = build_instance(run.family, run.instance_params(), rng)
-        base = instance.group.group if isinstance(instance.group, BlackBoxGroup) else instance.group
-        sampler = run.sampler.build(rng, pool=shard_pool)
-        if noise is not None:
-            # Channel randomness derives from the run seed through its own
-            # domain-separated SeedSequence stream — the main ``rng`` above
-            # is never consumed, so the ε=0 (uninstalled) rows are
-            # byte-identical to a no-noise sweep by construction.
-            install_noise(noise, instance, sampler, run.seed)
-            obs.gauge("noise.epsilon", noise.epsilon)
-        start = time.perf_counter()
-        solution = solve_hsp(
-            instance,
-            strategy=run.strategy,
-            sampler=sampler,
-            confidence=confidence,
-            noise=noise,
-        )
-        wall = time.perf_counter() - start
-        if solution.status == "no_convergence":
-            # The strategy failed gracefully under the corruption channel —
-            # there is no candidate to verify.
-            success = False
-        else:
-            # Verification runs against the ground truth (concrete group
-            # arithmetic), never the corrupted oracle.
-            success = instance.verify(solution.generators or [base.identity()])
+        # Verification runs against the ground truth (concrete group
+        # arithmetic), never the corrupted oracle.
+        success = instance.verify(solution.generators or [base.identity()])
     serialized = solution.to_json_dict(include_timing=False)
     return RunRecord(
         sweep=run.sweep,

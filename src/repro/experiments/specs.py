@@ -21,7 +21,16 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["DEFAULT_SEED", "RESERVED_GRID_KEYS", "SamplerSpec", "SweepSpec", "RunSpec", "derive_seed"]
+__all__ = [
+    "DEFAULT_SEED",
+    "RESERVED_GRID_KEYS",
+    "SUPPORTED_SOLVER_OPTIONS",
+    "SamplerSpec",
+    "SweepSpec",
+    "RunSpec",
+    "check_solver_options",
+    "derive_seed",
+]
 
 #: The suite-wide master seed (the paper's arXiv submission date).
 DEFAULT_SEED = 20010202
@@ -37,10 +46,34 @@ DEFAULT_SEED = 20010202
 #: record the swept value.
 RESERVED_GRID_KEYS = ("strategy", "confidence", "noise")
 
+#: Recognised ``solver_options`` keys.  Strategy and sampler are first-class
+#: ``SweepSpec`` fields; instance parameters belong in the grid;
+#: structural promises belong to the registry family.  ``confidence`` tunes
+#: the Fourier-sampling stopping rule (success probability versus rounds);
+#: ``noise`` is a :mod:`repro.blackbox.noise` spec string installing a
+#: corruption channel on the oracle or sampler.
+SUPPORTED_SOLVER_OPTIONS = frozenset({"confidence", "noise"})
+
 
 def derive_seed(master: int, index: int) -> int:
     """The per-run seed: deterministic, well-mixed, platform independent."""
     return int(np.random.SeedSequence([int(master), int(index)]).generate_state(1, np.uint64)[0])
+
+
+def check_solver_options(options: Mapping) -> None:
+    """Refuse unknown ``solver_options`` keys with a message naming them.
+
+    Checked when a sweep expands, so a typo (or a key an earlier version
+    supported) fails the sweep up front instead of turning every run into
+    an error row.
+    """
+    unknown = sorted(set(options) - SUPPORTED_SOLVER_OPTIONS)
+    if unknown:
+        raise ValueError(
+            f"unsupported solver_options {unknown}; supported: "
+            f"{sorted(SUPPORTED_SOLVER_OPTIONS)} (instance parameters go in the "
+            "grid, promises in the registry family)"
+        )
 
 
 def _reject_removed_route(data: Mapping, key: str, removed: str) -> None:
@@ -264,6 +297,7 @@ class SweepSpec:
     def expand(self) -> List[RunSpec]:
         """The full deterministic run list of the sweep."""
         self.sampler.build()  # validate at expansion time
+        check_solver_options(dict(self.solver_options))
         runs: List[RunSpec] = []
         index = 0
         for point in self.points():

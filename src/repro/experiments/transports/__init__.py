@@ -3,12 +3,11 @@
 The :class:`~repro.experiments.transports.base.Transport` protocol is the
 seam between the ``enqueue``/``work``/``collect`` lifecycle (which lives
 in :mod:`repro.experiments.distributed`) and the coordination backend.
-Three backends ship — the shared-directory queue, a single-file SQLite
-database, and an HTTP client speaking to a coordinator serving one —
-and :func:`resolve_transport` picks one from a queue location: an
-explicit ``kind``, an ``http://``/``https://`` URL, an existing
-directory vs an existing file with the SQLite magic header, or (for
-paths that do not exist yet) the file extension.
+Two backends ship — a single-file SQLite database for one host, and an
+HTTP client speaking to a coordinator serving one for many hosts — and
+:func:`resolve_transport` picks one from the queue location alone: an
+``http://``/``https://`` URL is a coordinator, anything else a SQLite
+database.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.experiments.transports.base import (
     QueueIncomplete,
     Transport,
 )
-from repro.experiments.transports.directory import DirectoryTransport, queue_dir, shard_path
 from repro.experiments.transports.http import (
     HTTP_PROTOCOL_VERSION,
     HttpTransport,
@@ -39,7 +37,6 @@ __all__ = [
     "QUEUE_VERSION",
     "Claim",
     "CorruptTask",
-    "DirectoryTransport",
     "HttpTransport",
     "QueueBusy",
     "QueueCorrupt",
@@ -49,53 +46,43 @@ __all__ = [
     "Transport",
     "make_server",
     "queue_db_path",
-    "queue_dir",
     "resolve_transport",
     "serve",
-    "shard_path",
 ]
 
-#: The selectable backend names (the CLI ``--transport`` choices).
-TRANSPORT_KINDS = ("dir", "sqlite", "http")
+#: The backend names a caller may force instead of ``"auto"``.
+TRANSPORT_KINDS = ("sqlite", "http")
 
-#: File extensions treated as SQLite queue databases when the path does
-#: not exist yet (an existing file is sniffed by its magic header instead).
+#: File extensions of an empty file still accepted as a fresh SQLite queue
+#: (any other existing file must carry the SQLite magic header).
 _SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
 
 def resolve_transport(queue: Union[str, Transport], kind: str = "auto") -> Transport:
     """Resolve a queue location (or a ready transport) to a transport.
 
-    ``kind`` may force a backend (``"dir"`` / ``"sqlite"`` / ``"http"``);
-    ``"auto"`` detects one: an ``http://``/``https://`` location is a
-    coordinator URL, an existing directory is a directory queue, an
-    existing file must carry the SQLite magic header, and a path that
-    does not exist yet is routed by its extension
-    (``.sqlite``/``.sqlite3``/``.db`` mean SQLite, anything else a
-    directory).
+    ``kind`` may force a backend (``"sqlite"`` / ``"http"``); ``"auto"``
+    reads it off the location: an ``http://``/``https://`` URL is a
+    coordinator, anything else a SQLite queue database (an existing file
+    must carry the SQLite magic header).  A directory is refused loudly:
+    it is a queue of the removed directory transport.
     """
     if isinstance(queue, Transport):
         return queue
-    if kind == "dir":
-        return DirectoryTransport(queue)
-    if kind == "sqlite":
-        return SqliteTransport(queue)
-    if kind == "http":
-        return HttpTransport(queue)
-    if kind != "auto":
+    if kind not in ("auto",) + TRANSPORT_KINDS:
         raise ValueError(f"unknown transport kind {kind!r}; expected one of {TRANSPORT_KINDS}")
-    if queue.startswith(("http://", "https://")):
+    if kind == "http" or (kind == "auto" and queue.startswith(("http://", "https://"))):
         return HttpTransport(queue)
     if os.path.isdir(queue):
-        return DirectoryTransport(queue)
-    if os.path.isfile(queue):
+        raise QueueCorrupt(
+            f"{queue!r} is a directory queue; the directory transport was removed. "
+            f"Collect it with the build that wrote it, or re-enqueue the sweep into "
+            f"QUEUE_<name>.sqlite (records are deterministic, so a re-run gives "
+            f"identical rows)"
+        )
+    if kind == "auto" and os.path.isfile(queue):
         with open(queue, "rb") as handle:
             magic = handle.read(len(SQLITE_MAGIC))
-        if magic == SQLITE_MAGIC or (not magic and queue.endswith(_SQLITE_SUFFIXES)):
-            return SqliteTransport(queue)
-        raise QueueCorrupt(
-            f"{queue!r} is neither a queue directory nor a SQLite queue database"
-        )
-    if queue.endswith(_SQLITE_SUFFIXES):
-        return SqliteTransport(queue)
-    return DirectoryTransport(queue)
+        if magic != SQLITE_MAGIC and (magic or not queue.endswith(_SQLITE_SUFFIXES)):
+            raise QueueCorrupt(f"{queue!r} is not a SQLite queue database")
+    return SqliteTransport(queue)

@@ -10,17 +10,13 @@ JSON round-trippable, so every backend speaks the same serialized forms
 and the byte-identity contract (``collect`` == single-process ``run``)
 holds per transport.
 
-Three backends ship:
+Two backends ship:
 
-* :class:`~repro.experiments.transports.directory.DirectoryTransport` —
-  the original shared-directory queue (atomic ``os.rename`` leases,
-  mtime heartbeats, ``.jsonl`` journal shards); works on any shared
-  filesystem including NFS.
 * :class:`~repro.experiments.transports.sqlite.SqliteTransport` — a
   single-file SQLite database in WAL mode with ``BEGIN IMMEDIATE``
-  transactional claims over a pending/running/done status table; one
-  file instead of a directory tree, safe multi-process access on one
-  host (WAL does not support network filesystems).
+  transactional claims over a pending/running/done status table, safe
+  multi-process access on one host (WAL does not support network
+  filesystems).
 * :class:`~repro.experiments.transports.http.HttpTransport` — the
   client half of the HTTP coordinator (``python -m repro.experiments
   serve QUEUE.sqlite``): the same operations as JSON POSTs against a
@@ -137,13 +133,13 @@ class Transport(abc.ABC):
     instead), and must store records in append order per shard so the
     last record for an ``(index, seed)`` key within a shard wins — the
     same semantics :func:`~repro.experiments.results.load_journal` gives
-    the directory shards.
+    a journal file.
     """
 
-    #: Short backend name (``"dir"`` / ``"sqlite"`` / ``"http"``), used by the CLI.
+    #: Short backend name (``"sqlite"`` / ``"http"``), used in log lines.
     kind: str = "?"
 
-    #: Human-readable queue location (a directory or a database path).
+    #: Human-readable queue location (a database path or a coordinator URL).
     location: str = "?"
 
     # -- queue lifecycle ----------------------------------------------------
@@ -232,8 +228,7 @@ class Transport(abc.ABC):
     def close(self) -> None:
         """Release any backend resources (connections, file handles).
 
-        A no-op by default — the directory transport holds nothing open
-        between operations.  Backends with persistent state override it:
+        A no-op by default.  Backends with persistent state override it:
         the SQLite transport closes its connection (letting SQLite remove
         the WAL ``-wal``/``-shm`` sidecar files), the HTTP transport drops
         its keep-alive session.  Idempotent; the transport may be used

@@ -1,7 +1,7 @@
 """The HTTP queue coordinator: workers need a URL, not a mount.
 
-The directory and SQLite transports both require every worker to share a
-filesystem with the queue.  This module removes that constraint with two
+The SQLite transport requires every worker to share a host with the
+queue database.  This module removes that constraint with two
 halves speaking one tiny JSON-over-HTTP protocol:
 
 * the **server** (``python -m repro.experiments serve QUEUE.sqlite``) — a
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import os
 import socket
 import sys
 import threading
@@ -61,7 +60,6 @@ from repro.experiments.transports.base import (
     QueueCorrupt,
     Transport,
 )
-from repro.experiments.transports.sqlite import SqliteTransport
 
 __all__ = [
     "HTTP_PROTOCOL_VERSION",
@@ -410,13 +408,11 @@ def make_server(
                 "the coordinator serves a *local* queue database — pass the "
                 "QUEUE_<name>.sqlite path, not a URL (coordinators do not chain)"
             )
-        if os.path.isdir(location):
-            raise ValueError(
-                f"{location!r} is a directory queue; the HTTP coordinator serves a "
-                f"SQLite queue database (enqueue with --transport sqlite, or pass "
-                f"the QUEUE_<name>.sqlite path)"
-            )
-        transport = SqliteTransport(location)
+        # Imported here: the package imports this module.  Resolution
+        # refuses a leftover directory queue with the removal message.
+        from repro.experiments.transports import resolve_transport
+
+        transport = resolve_transport(location, "sqlite")
     if isinstance(transport, HttpTransport):
         raise ValueError("cannot chain one HTTP coordinator behind another")
     return QueueHTTPServer((host, port), transport)

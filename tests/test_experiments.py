@@ -123,6 +123,33 @@ class TestSpecs:
         with pytest.raises(ValueError, match=message):
             run_sweep(spec, workers=1, out_dir=None)
 
+    def test_solver_options_are_validated_at_expansion(self, tmp_path):
+        # engine_cache_dir was a supported key before the on-disk Cayley
+        # cache was removed; a spec still carrying it must fail up front.
+        spec = tiny_spec(solver_options={"engine_cache_dir": str(tmp_path / "cache")})
+        message = r"unsupported solver_options \['engine_cache_dir'\]"
+        with pytest.raises(ValueError, match=message):
+            spec.expand()
+        with pytest.raises(ValueError, match=message):
+            run_sweep(spec, workers=1, out_dir=str(tmp_path))
+        assert os.listdir(str(tmp_path)) == []
+
+    def test_every_unknown_solver_option_is_named(self):
+        spec = tiny_spec(solver_options={"zeta": 1, "confidence": 4, "alpha": 2})
+        with pytest.raises(ValueError, match=r"unsupported solver_options \['alpha', 'zeta'\]"):
+            spec.expand()
+
+    @pytest.mark.parametrize(
+        "options", [{"confidence": 4}, {"noise": "oracle-flip(0.25)"}], ids=["confidence", "noise"]
+    )
+    def test_supported_solver_options_expand_and_run(self, options):
+        spec = tiny_spec(solver_options=options)
+        runs = spec.expand()
+        assert len(runs) == 4
+        assert all(run.options_dict() == options for run in runs)
+        _, payload = run_sweep(spec, workers=1, out_dir=None)
+        assert [row["status"] for row in payload["rows"]].count("error") == 0
+
 
 class TestRegistry:
     TINY_PARAMS = {
@@ -212,21 +239,6 @@ class TestRunnerDeterminism:
         for engine_row, scalar_row in zip(engine_payload["rows"], scalar_payload["rows"]):
             assert engine_row["generators"] == scalar_row["generators"]
             assert engine_row["query_report"] == scalar_row["query_report"]
-
-    def test_engine_cache_dir_populates_and_reuses(self, tmp_path):
-        cache_dir = tmp_path / "cayley"
-        spec = SweepSpec.from_grid(
-            "cached",
-            "extraspecial_random",
-            {"p": [3]},
-            solver_options={"engine_cache_dir": str(cache_dir)},
-        )
-        _, first = run_sweep(spec, workers=1, out_dir=None)
-        cached = os.listdir(cache_dir)
-        assert cached, "a sweep with engine_cache_dir must populate the Cayley cache"
-        _, second = run_sweep(spec, workers=1, out_dir=None)
-        assert rows_bytes(first) == rows_bytes(second)
-        assert sorted(os.listdir(cache_dir)) == sorted(cached), "rerun reuses the same cache files"
 
     def test_pre_engine_baseline_configuration_solves(self):
         # The full scalar profile (engine-less route AND per-round sampling)

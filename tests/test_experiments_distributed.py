@@ -1,8 +1,8 @@
 """The queue-backed distributed runner (PR 5) and its transports (PR 6/10).
 
-The contract under test, for ALL THREE queue transports (the
-shared-directory queue, the single-file SQLite WAL database, and the HTTP
-coordinator serving a SQLite queue to workers that have only a URL):
+The contract under test, for BOTH queue transports (the single-file
+SQLite WAL database, and the HTTP coordinator serving a SQLite queue to
+workers that have only a URL):
 
 * a ``RunSpec`` round-trips exactly through its JSON task form — the
   descriptor *is* the unit of work a remote worker executes;
@@ -65,11 +65,9 @@ from repro.experiments.distributed import (
     lease_report,
     load_queue_spec,
     queue_db_path,
-    queue_dir,
     queue_progress,
     queue_status,
     reclaim_stale,
-    shard_path,
     validate_lease_timings,
 )
 from repro.experiments.runner import execute_run_safe
@@ -86,7 +84,6 @@ from repro.experiments.specs import RunSpec, SamplerSpec
 from repro.experiments.transports import (
     Claim,
     CorruptTask,
-    DirectoryTransport,
     HttpTransport,
     SqliteTransport,
     make_server,
@@ -100,7 +97,7 @@ from repro.experiments.transports.http import (
 SEED = 20010202
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
-TRANSPORTS = ["dir", "sqlite", "http"]
+TRANSPORTS = ["sqlite", "http"]
 
 
 def tiny_spec(name="queued", **kwargs):
@@ -160,8 +157,6 @@ def backing_db(queue):
 
 def make_queue(tmp_path, kind, spec):
     """The queue location of ``spec`` for a transport kind under ``tmp_path``."""
-    if kind == "dir":
-        return queue_dir(str(tmp_path), spec.name)
     db = queue_db_path(str(tmp_path), spec.name)
     if kind == "http":
         return start_http_queue(db)
@@ -170,45 +165,31 @@ def make_queue(tmp_path, kind, spec):
 
 def cli_queue_args(tmp_path, kind, name="queue-smoke"):
     """(queue location, enqueue argv) for a CLI lifecycle test of ``kind``:
-    HTTP queues are addressed by coordinator URL (``--queue-url``), the
-    filesystem kinds by their ``QUEUE_<name>`` path under ``--out``."""
+    HTTP queues are addressed by coordinator URL (``--queue-url``), SQLite
+    queues by their default ``QUEUE_<name>.sqlite`` path under ``--out``."""
     out = str(tmp_path)
     if kind == "http":
         url = start_http_queue(queue_db_path(out, name))
         return url, ["enqueue", name, "--queue-url", url]
-    suffix = ".sqlite" if kind == "sqlite" else ""
-    queue = os.path.join(out, f"QUEUE_{name}{suffix}")
-    return queue, ["enqueue", name, "--out", out, "--transport", kind]
+    return queue_db_path(out, name), ["enqueue", name, "--out", out]
 
 
 def force_stale(queue, kind, age=900.0):
     """Backdate every live lease's liveness stamp by ``age`` seconds — the
     holder 'died' that long ago and its heartbeat froze."""
-    if kind == "dir":
-        leases = os.path.join(queue, "leases")
-        stamp = time.time() - age
-        for name in os.listdir(leases):
-            os.utime(os.path.join(leases, name), (stamp, stamp))
-    else:
-        resolve_transport(backing_db(queue))._connect().execute(
-            "UPDATE tasks SET heartbeat_at = heartbeat_at - ? WHERE status = 'running'",
-            (age,),
-        )
+    resolve_transport(backing_db(queue))._connect().execute(
+        "UPDATE tasks SET heartbeat_at = heartbeat_at - ? WHERE status = 'running'",
+        (age,),
+    )
 
 
 def plant_corrupt_task(queue, kind):
     """Corrupt the lowest-indexed pending task's payload (torn mid-write /
     hand-edited)."""
-    if kind == "dir":
-        tasks = os.path.join(queue, "tasks")
-        task = os.path.join(tasks, sorted(os.listdir(tasks))[0])
-        with open(task, "w", encoding="utf-8") as handle:
-            handle.write('{"sweep": "queued", "ind')  # torn mid-write
-    else:
-        resolve_transport(backing_db(queue))._connect().execute(
-            "UPDATE tasks SET run_json = '{\"torn' "
-            "WHERE idx = (SELECT MIN(idx) FROM tasks WHERE status = 'pending')"
-        )
+    resolve_transport(backing_db(queue))._connect().execute(
+        "UPDATE tasks SET run_json = '{\"torn' "
+        "WHERE idx = (SELECT MIN(idx) FROM tasks WHERE status = 'pending')"
+    )
 
 
 @pytest.fixture(params=TRANSPORTS)
@@ -225,7 +206,7 @@ class TestSpecSerialization:
             repeats=3,
             seed=7,
             sampler=SamplerSpec(backend="analytic", shards=2),
-            solver_options={"engine_cache_dir": "/tmp/cache"},
+            solver_options={"noise": "oracle-flip(0.25)"},
         )
         for run in spec.expand():
             round_tripped = RunSpec.from_json_dict(json.loads(json.dumps(run.to_json_dict())))
@@ -246,14 +227,18 @@ class TestSpecSerialization:
 
 class TestTransportResolution:
     def test_explicit_kinds(self, tmp_path):
-        assert isinstance(resolve_transport(str(tmp_path / "q"), "dir"), DirectoryTransport)
         assert isinstance(resolve_transport(str(tmp_path / "q.sqlite"), "sqlite"), SqliteTransport)
+        with pytest.raises(ValueError, match="unknown transport kind 'dir'"):
+            resolve_transport(str(tmp_path / "q"), "dir")
 
-    def test_auto_detects_an_existing_directory(self, tmp_path):
-        spec = tiny_spec()
-        queue = queue_dir(str(tmp_path), spec.name)
-        enqueue_sweep(spec, queue, kind="dir")
-        assert isinstance(resolve_transport(queue), DirectoryTransport)
+    @pytest.mark.parametrize("requested", ["auto", "sqlite"])
+    def test_leftover_directory_queue_is_refused_loudly(self, tmp_path, requested):
+        queue = tmp_path / "QUEUE_queued"
+        (queue / "tasks").mkdir(parents=True)
+        with pytest.raises(QueueCorrupt, match="directory transport was removed") as info:
+            resolve_transport(str(queue), requested)
+        assert "QUEUE_<name>.sqlite" in str(info.value)
+        assert "build that wrote it" in str(info.value)
 
     def test_auto_detects_an_existing_database_by_magic(self, tmp_path):
         spec = tiny_spec()
@@ -263,19 +248,19 @@ class TestTransportResolution:
         assert isinstance(resolve_transport(queue), SqliteTransport)
         assert load_queue_spec(queue) == spec
 
-    def test_auto_routes_missing_paths_by_extension(self, tmp_path):
+    def test_auto_routes_missing_paths_to_sqlite(self, tmp_path):
         assert isinstance(resolve_transport(str(tmp_path / "q.sqlite")), SqliteTransport)
         assert isinstance(resolve_transport(str(tmp_path / "q.db")), SqliteTransport)
-        assert isinstance(resolve_transport(str(tmp_path / "QUEUE_q")), DirectoryTransport)
+        assert isinstance(resolve_transport(str(tmp_path / "QUEUE_q")), SqliteTransport)
 
     def test_auto_refuses_a_foreign_file(self, tmp_path):
         path = tmp_path / "not-a-queue.sqlite"
         path.write_text("just some text")
-        with pytest.raises(QueueCorrupt, match="neither a queue directory nor"):
+        with pytest.raises(QueueCorrupt, match="is not a SQLite queue database"):
             resolve_transport(str(path))
 
     def test_transport_instances_pass_through(self, tmp_path):
-        transport = DirectoryTransport(str(tmp_path / "q"))
+        transport = SqliteTransport(str(tmp_path / "q.sqlite"))
         assert resolve_transport(transport) is transport
 
     def test_auto_detects_a_coordinator_url(self):
@@ -288,6 +273,36 @@ class TestTransportResolution:
     def test_http_kind_rejects_a_non_url(self, tmp_path):
         with pytest.raises(ValueError, match="http"):
             resolve_transport(str(tmp_path / "q.sqlite"), "http")
+
+    @pytest.mark.parametrize(
+        "entry", ["enqueue", "work", "collect", "status", "progress", "reclaim"]
+    )
+    def test_leftover_directory_queue_fails_every_entry_point(self, tmp_path, entry):
+        spec = tiny_spec()
+        queue = tmp_path / "QUEUE_queued"
+        (queue / "tasks").mkdir(parents=True)
+        task = queue / "tasks" / "task-000000.json"
+        task.write_text(json.dumps(spec.expand()[0].to_json_dict()))
+        calls = {
+            "enqueue": lambda q: enqueue_sweep(spec, q),
+            "work": lambda q: work_queue(q, worker_id="w0"),
+            "collect": lambda q: collect_queue(q, str(tmp_path)),
+            "status": queue_status,
+            "progress": queue_progress,
+            "reclaim": lambda q: reclaim_stale(q, stale_after=1.0),
+        }
+        with pytest.raises(QueueCorrupt, match="directory transport was removed"):
+            calls[entry](str(queue))
+        # the leftover queue is left exactly as the old build wrote it
+        assert sorted(os.listdir(str(tmp_path))) == ["QUEUE_queued"]
+        assert os.listdir(str(queue / "tasks")) == ["task-000000.json"]
+        assert json.loads(task.read_text()) == spec.expand()[0].to_json_dict()
+
+    @pytest.mark.parametrize("forced", ["dir", "http"])
+    def test_enqueue_refuses_an_unusable_kind_before_touching_the_queue(self, tmp_path, forced):
+        with pytest.raises(ValueError):
+            enqueue_sweep(tiny_spec(), str(tmp_path / "q.sqlite"), kind=forced)
+        assert os.listdir(str(tmp_path)) == []
 
 
 class TestEnqueue:
@@ -308,6 +323,13 @@ class TestEnqueue:
             assert isinstance(claim, Claim)
             runs.append(claim.run)
         assert runs == spec.expand()
+
+    def test_enqueue_refuses_unknown_solver_options_before_touching_the_queue(self, tmp_path):
+        spec = tiny_spec(solver_options={"engine_cache_dir": str(tmp_path / "cache")})
+        queue = queue_db_path(str(tmp_path), spec.name)
+        with pytest.raises(ValueError, match="unsupported solver_options \\['engine_cache_dir'\\]"):
+            enqueue_sweep(spec, queue)
+        assert os.listdir(str(tmp_path)) == []
 
     def test_enqueue_refuses_a_busy_queue(self, tmp_path, kind):
         spec = tiny_spec()
@@ -373,59 +395,46 @@ class TestClaimAndLease:
         _, baseline = run_sweep(spec, workers=1, out_dir=None)
         assert rows_bytes(payload) == rows_bytes(baseline)
 
-    def test_lease_clock_starts_at_the_claim_not_at_enqueue(self, tmp_path):
-        # os.rename preserves the task file's mtime, so without the
-        # claim-time touch a task claimed long after enqueue would be born
-        # stale and reclaimed out from under its live holder
+    def test_lease_clock_starts_at_the_claim_not_at_enqueue(self, tmp_path, kind, monkeypatch):
+        # a task that waited an hour in the queue is not stale the moment it
+        # is claimed: liveness is stamped by the claim, not by the enqueue
+        from repro.experiments.transports import sqlite as sqlite_mod
+
+        clock = {"t": 1000.0}
+        monkeypatch.setattr(sqlite_mod, "_now", lambda: clock["t"])
         spec = tiny_spec()
-        queue = queue_dir(str(tmp_path), spec.name)
-        enqueue_sweep(spec, queue)
-        stamp = time.time() - 900
-        tasks = os.path.join(queue, "tasks")
-        for name in os.listdir(tasks):
-            os.utime(os.path.join(tasks, name), (stamp, stamp))
-        claim_next(queue, "slowpoke")
+        queue = make_queue(tmp_path, kind, spec)
+        enqueue_sweep(spec, queue, kind=kind)
+        clock["t"] += 3600.0
+        claim = claim_next(queue, "w0")
+        assert isinstance(claim, Claim)
+        (entry,) = lease_report(queue)
+        assert entry["age_seconds"] == pytest.approx(0.0)
         assert reclaim_stale(queue, stale_after=60.0) == 0
-        assert queue_status(queue)["leases"] == 1
+        clock["t"] += 61.0
+        assert reclaim_stale(queue, stale_after=60.0) == 1
 
-    def test_restarted_worker_recovers_a_truncated_shard(self, tmp_path):
-        # a crash inside the header write leaves a zero-byte shard; a
-        # restarted worker with the same id must re-head it (not append
-        # records into a headerless file collect can never read)
+    def test_restarted_worker_recovers_a_record_appended_before_it_died(self, tmp_path, kind):
+        # the worker journaled its record but died before releasing the
+        # lease; restarted under the same id it reclaims and re-executes the
+        # run, and the duplicate record collapses into one row
         spec = tiny_spec()
-        queue = queue_dir(str(tmp_path), spec.name)
-        enqueue_sweep(spec, queue)
-        open(shard_path(queue, "w0"), "w").close()
+        queue = make_queue(tmp_path, kind, spec)
+        enqueue_sweep(spec, queue, kind=kind)
+        transport = resolve_transport(queue)
+        claim = transport.claim_next("w0")
+        assert isinstance(claim, Claim)
+        transport.prepare_shard(spec, "w0")
+        transport.append_record(spec, "w0", execute_run_safe(claim.run))
+        transport.close()
+        force_stale(queue, kind)
         stats = work_queue(queue, worker_id="w0")
-        assert stats["executed"] == 4
+        assert stats["reclaimed"] == 1 and stats["executed"] == 4
+        progress = queue_progress(queue)
+        assert [(w["worker"], w["records"]) for w in progress["workers"]] == [("w0", 4)]
         _, payload = collect_queue(queue, str(tmp_path))
         _, baseline = run_sweep(spec, workers=1, out_dir=None)
         assert rows_bytes(payload) == rows_bytes(baseline)
-
-    def test_restarted_worker_compacts_a_torn_shard_tail(self, tmp_path):
-        # a crash mid-append leaves a torn trailing fragment; restarting the
-        # worker must compact it so its own appends start on a clean line
-        spec = tiny_spec()
-        queue = queue_dir(str(tmp_path), spec.name)
-        enqueue_sweep(spec, queue)
-        work_queue(queue, worker_id="w0", max_tasks=2)
-        shard = shard_path(queue, "w0")
-        with open(shard, "a", encoding="utf-8") as handle:
-            handle.write('{"index": 2, "torn')  # no trailing newline
-        stats = work_queue(queue, worker_id="w0")
-        assert stats["executed"] == 2
-        _, payload = collect_queue(queue, str(tmp_path))
-        _, baseline = run_sweep(spec, workers=1, out_dir=None)
-        assert rows_bytes(payload) == rows_bytes(baseline)
-
-    def test_worker_refuses_a_foreign_shard(self, tmp_path):
-        spec = tiny_spec()
-        queue = queue_dir(str(tmp_path), spec.name)
-        enqueue_sweep(spec, queue)
-        # a shard left by a *different* sweep configuration must be refused
-        write_journal_header(shard_path(queue, "w0"), spec.with_overrides(seed=7))
-        with pytest.raises(ValueError, match="different sweep configuration"):
-            work_queue(queue, worker_id="w0")
 
 
 class TestCorruptQuarantine:
@@ -654,6 +663,26 @@ class TestWorkAndCollect:
         assert rows_bytes(payload) == rows_bytes(baseline)
         assert payload["aggregate"]["errors"] == 2
 
+    def test_task_with_an_unknown_solver_option_becomes_an_error_row(self, tmp_path, kind):
+        # a task edited into the queue bypasses expansion; the runner still
+        # refuses its options, naming the key, and the queue drains
+        spec = tiny_spec()
+        queue = make_queue(tmp_path, kind, spec)
+        enqueue_sweep(spec, queue, kind=kind)
+        con = resolve_transport(backing_db(queue))._connect()
+        ((idx, run_json),) = con.execute(
+            "SELECT idx, run_json FROM tasks WHERE idx = (SELECT MIN(idx) FROM tasks)"
+        ).fetchall()
+        task = json.loads(run_json)
+        task["solver_options"] = {"engine_cache_dir": "cayley"}
+        con.execute("UPDATE tasks SET run_json = ? WHERE idx = ?", (json.dumps(task), idx))
+        stats = work_queue(queue, worker_id="w0")
+        assert stats == {"executed": 4, "errors": 1, "reclaimed": 0, "corrupt": 0}
+        _, payload = collect_queue(queue, str(tmp_path))
+        (failed,) = [row for row in payload["rows"] if row["status"] == "error"]
+        assert "unsupported solver_options ['engine_cache_dir']" in failed["error"]
+        assert payload["aggregate"]["errors"] == 1
+
     def test_collect_refuses_an_incomplete_queue(self, tmp_path, kind):
         spec = tiny_spec()
         queue = make_queue(tmp_path, kind, spec)
@@ -673,19 +702,6 @@ class TestWorkAndCollect:
         )
         resolve_transport(queue).append_record(spec, "w0", rogue)
         with pytest.raises(QueueCorrupt, match="outside the pinned sweep expansion"):
-            collect_queue(queue, str(tmp_path))
-
-    def test_partial_shard_torn_line_counts_as_missing(self, tmp_path):
-        spec = tiny_spec()
-        queue = queue_dir(str(tmp_path), spec.name)
-        enqueue_sweep(spec, queue)
-        work_queue(queue, worker_id="w0")
-        shard = shard_path(queue, "w0")
-        lines = open(shard, "r", encoding="utf-8").read().splitlines(keepends=True)
-        with open(shard, "w", encoding="utf-8") as handle:
-            handle.writelines(lines[:-1])
-            handle.write(lines[-1][: len(lines[-1]) // 2])  # tear the final record
-        with pytest.raises(QueueIncomplete, match=r"1 run\(s\)"):
             collect_queue(queue, str(tmp_path))
 
     def test_duplicate_records_across_shards_dedup_preferring_ok(self, tmp_path, kind):
@@ -783,9 +799,6 @@ class TestKillAWorker:
         )
 
     def _live_leases(self, queue, kind):
-        if kind == "dir":
-            leases = os.path.join(queue, "leases")
-            return [name.split("@", 1)[1] for name in os.listdir(leases) if "@" in name]
         rows = resolve_transport(backing_db(queue))._connect().execute(
             "SELECT worker FROM tasks WHERE status = 'running'"
         ).fetchall()
@@ -908,7 +921,7 @@ class TestQueueCLI:
 
     def test_collect_incomplete_queue_exits_nonzero(self, tmp_path, capsys):
         out = str(tmp_path)
-        queue = os.path.join(out, "QUEUE_queue-smoke")
+        queue = os.path.join(out, "QUEUE_queue-smoke.sqlite")
         assert cli_main(["enqueue", "queue-smoke", "--out", out]) == 0
         assert cli_main(["collect", queue, "--out", out]) == 1
         assert "incomplete" in capsys.readouterr().err
@@ -918,8 +931,48 @@ class TestQueueCLI:
         assert "unknown workload" in capsys.readouterr().err
 
     def test_work_on_a_non_queue_exits_nonzero(self, tmp_path, capsys):
-        assert cli_main(["work", str(tmp_path)]) == 1
-        assert "spec.json" in capsys.readouterr().err
+        assert cli_main(["work", str(tmp_path / "no-such.sqlite")]) == 1
+        assert "does not exist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["work", "collect", "status"])
+    def test_leftover_directory_queue_fails_before_any_run(self, tmp_path, command, capsys):
+        queue = tmp_path / "QUEUE_queue-smoke"
+        (queue / "tasks").mkdir(parents=True)
+        assert cli_main([command, str(queue)]) == 1
+        assert "directory transport was removed" in capsys.readouterr().err
+        assert sorted(os.listdir(str(tmp_path))) == ["QUEUE_queue-smoke"]
+
+    def test_enqueue_into_a_leftover_directory_exits_nonzero(self, tmp_path, capsys):
+        queue = tmp_path / "QUEUE_queue-smoke"
+        (queue / "tasks").mkdir(parents=True)
+        assert cli_main(["enqueue", "queue-smoke", "--queue-db", str(queue)]) == 1
+        assert "directory transport was removed" in capsys.readouterr().err
+        assert os.listdir(str(queue)) == ["tasks"]
+        assert os.listdir(str(queue / "tasks")) == []
+
+    def test_enqueue_out_defaults_to_a_sqlite_queue_file(self, tmp_path, capsys):
+        assert cli_main(["enqueue", "queue-smoke", "--out", str(tmp_path)]) == 0
+        assert os.listdir(str(tmp_path)) == ["QUEUE_queue-smoke.sqlite"]
+        queue = str(tmp_path / "QUEUE_queue-smoke.sqlite")
+        assert isinstance(resolve_transport(queue), SqliteTransport)
+        assert queue_status(queue)["tasks"] == 6
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--transport", "sqlite"], "unrecognized arguments: --transport"),
+            (["--transport", "dir"], "unrecognized arguments: --transport"),
+            (["--transport", "http"], "unrecognized arguments: --transport"),
+            (["--queue", "QUEUE_dir"], "ambiguous option: --queue"),
+        ],
+        ids=["transport-sqlite", "transport-dir", "transport-http", "queue"],
+    )
+    def test_removed_enqueue_flags_are_rejected_at_parse_time(self, tmp_path, flags, message, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli_main(["enqueue", "queue-smoke", "--out", str(tmp_path)] + flags)
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(str(tmp_path)) == []
 
     def test_enqueue_with_overrides_round_trips(self, tmp_path, kind):
         queue, enqueue_argv = cli_queue_args(tmp_path, kind)
@@ -927,12 +980,6 @@ class TestQueueCLI:
         spec = load_queue_spec(queue)
         assert spec.repeats == 1 and spec.seed == 5
         assert queue_status(queue)["tasks"] == 3
-
-    def test_enqueue_transport_http_requires_a_queue_url(self, tmp_path, capsys):
-        assert cli_main(
-            ["enqueue", "queue-smoke", "--out", str(tmp_path), "--transport", "http"]
-        ) == 1
-        assert "--queue-url" in capsys.readouterr().err
 
 
 class TestStatusObservability:
@@ -965,8 +1012,8 @@ class TestStatusObservability:
             transport.release(claim)
             history.append(transport.status())                # done + shard
             histories[kind] = history
-        assert histories["dir"] == histories["sqlite"] == histories["http"]
-        assert histories["dir"] == [
+        assert histories["sqlite"] == histories["http"]
+        assert histories["sqlite"] == [
             {"tasks": 4, "leases": 0, "shards": 0, "corrupt": 0},
             {"tasks": 3, "leases": 0, "shards": 0, "corrupt": 1},
             {"tasks": 2, "leases": 1, "shards": 0, "corrupt": 1},
@@ -1025,6 +1072,18 @@ class TestStatusObservability:
         assert progress["errors"] == 0
         by_worker = {entry["worker"]: entry["records"] for entry in progress["workers"]}
         assert by_worker == {"w1": 3, "w2": 1}
+
+    def test_progress_reports_worker_ids_verbatim(self, tmp_path, kind):
+        # shard ids are the (sanitized) worker ids on both transports: a
+        # worker named like an old shard file keeps its name
+        spec = tiny_spec()
+        queue = make_queue(tmp_path, kind, spec)
+        enqueue_sweep(spec, queue, kind=kind)
+        work_queue(queue, worker_id="shard-w1.jsonl", max_tasks=1)
+        work_queue(queue, worker_id="host-2/pid 7")
+        progress = queue_progress(queue)
+        by_worker = {entry["worker"]: entry["records"] for entry in progress["workers"]}
+        assert by_worker == {"shard-w1.jsonl": 1, "host-2-pid-7": 3}
 
     def test_traced_two_worker_drain_matches_untraced_run(self, tmp_path, kind):
         # the PR acceptance check: tracing through work_queue leaves the
@@ -1231,10 +1290,6 @@ class TestTransportClose:
         assert transport._con is None
         transport.close()  # idempotent
 
-    def test_directory_close_is_a_noop(self, tmp_path):
-        transport = DirectoryTransport(str(tmp_path / "q"))
-        transport.close()
-
 
 class TestHttpSpecifics:
     """The HTTP coordinator: restart resilience, request hygiene, and the
@@ -1254,8 +1309,19 @@ class TestHttpSpecifics:
     def test_make_server_refuses_urls_and_directory_queues(self, tmp_path):
         with pytest.raises(ValueError, match="not a URL"):
             make_server("http://127.0.0.1:8765")
-        with pytest.raises(ValueError, match="directory queue"):
+        with pytest.raises(QueueCorrupt, match="directory transport was removed"):
             make_server(str(tmp_path))
+
+    def test_unparseable_record_row_stops_that_shard_stream_over_http(self, tmp_path):
+        spec = tiny_spec()
+        queue = make_queue(tmp_path, "http", spec)
+        enqueue_sweep(spec, queue)
+        work_queue(queue, worker_id="w0")
+        resolve_transport(backing_db(queue))._connect().execute(
+            "UPDATE records SET record_json = 'garbage' WHERE seq = 2"
+        )
+        with pytest.raises(QueueIncomplete, match=r"2 run\(s\)"):
+            collect_queue(queue, str(tmp_path))
 
     def test_client_retries_through_a_coordinator_restart(self, tmp_path):
         spec = tiny_spec()
@@ -1438,7 +1504,7 @@ class TestServeCLI:
         assert cli_main(["serve", "http://127.0.0.1:1"]) == 1
         assert "not a URL" in capsys.readouterr().err
         assert cli_main(["serve", str(tmp_path)]) == 1
-        assert "directory queue" in capsys.readouterr().err
+        assert "directory transport was removed" in capsys.readouterr().err
 
     def test_serve_lifecycle_end_to_end(self, tmp_path):
         # the full deployment shape: a `serve` subprocess fronts the queue,

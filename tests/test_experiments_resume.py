@@ -1,4 +1,4 @@
-"""Fault-tolerance, checkpoint/resume and cache-eviction tests (PR 3).
+"""Fault-tolerance and checkpoint/resume tests (PR 3).
 
 The contract under test:
 
@@ -8,13 +8,11 @@ The contract under test:
   with ``resume=True`` produces final ``rows`` byte-identical to an
   uninterrupted ``workers=1`` run at the same seed;
 * ``write_bench`` is atomic — a crash mid-write never corrupts an existing
-  BENCH file;
-* ``cache prune --max-bytes`` LRU-evicts whole Cayley-table pairs by mtime.
+  BENCH file.
 """
 
 import json
 import os
-import time
 
 import pytest
 
@@ -36,7 +34,6 @@ from repro.experiments.results import (
     load_journal,
     rows_bytes,
 )
-from repro.groups.engine import cache_entries, prune_cache
 
 SEED = 20010202
 
@@ -337,68 +334,6 @@ class TestStatisticsWorkloads:
             assert len({run.seed for run in runs}) == len(runs)
 
 
-class TestCacheEviction:
-    @staticmethod
-    def _make_entry(cache_dir, digest, size, age_seconds):
-        os.makedirs(cache_dir, exist_ok=True)
-        stamp = time.time() - age_seconds
-        paths = []
-        for kind in ("table", "inv"):
-            path = os.path.join(cache_dir, f"cayley-{digest}-{kind}.npy")
-            with open(path, "wb") as handle:
-                handle.write(b"\0" * size)
-            os.utime(path, (stamp, stamp))
-            paths.append(path)
-        return paths
-
-    def test_entries_sorted_least_recently_used_first(self, tmp_path):
-        cache = str(tmp_path / "cayley")
-        self._make_entry(cache, "bbbb", 10, age_seconds=100)
-        self._make_entry(cache, "aaaa", 10, age_seconds=10)
-        assert [entry["digest"] for entry in cache_entries(cache)] == ["bbbb", "aaaa"]
-
-    def test_prune_respects_max_bytes_and_evicts_pairs(self, tmp_path):
-        cache = str(tmp_path / "cayley")
-        self._make_entry(cache, "old1", 100, age_seconds=300)
-        self._make_entry(cache, "old2", 100, age_seconds=200)
-        self._make_entry(cache, "new1", 100, age_seconds=10)
-        evicted = prune_cache(cache, max_bytes=250)  # total 600 -> need <= 250
-        assert [entry["digest"] for entry in evicted] == ["old1", "old2"]
-        remaining = cache_entries(cache)
-        assert [entry["digest"] for entry in remaining] == ["new1"]
-        assert sum(entry["bytes"] for entry in remaining) <= 250
-        # both files of each evicted pair are gone
-        assert sorted(os.listdir(cache)) == ["cayley-new1-inv.npy", "cayley-new1-table.npy"]
-
-    def test_orphaned_writer_temp_files_are_listed_and_pruned(self, tmp_path):
-        cache = str(tmp_path / "cayley")
-        self._make_entry(cache, "live", 50, age_seconds=5)
-        orphan = os.path.join(cache, "cayley-dead-table.npy.tmp-12345")
-        with open(orphan, "wb") as handle:
-            handle.write(b"\0" * 500)
-        stamp = time.time() - 900
-        os.utime(orphan, (stamp, stamp))
-        entries = cache_entries(cache)
-        assert sum(entry["bytes"] for entry in entries) == 600, "temp files count toward usage"
-        assert entries[0]["digest"] == "cayley-dead-table.npy.tmp-12345"
-        evicted = prune_cache(cache, max_bytes=150)
-        assert orphan in [path for entry in evicted for path in entry["files"]]
-        assert not os.path.exists(orphan)
-
-    def test_prune_to_zero_empties_the_cache(self, tmp_path):
-        cache = str(tmp_path / "cayley")
-        self._make_entry(cache, "only", 10, age_seconds=1)
-        prune_cache(cache, max_bytes=0)
-        assert cache_entries(cache) == []
-
-    def test_prune_rejects_negative_budget(self, tmp_path):
-        with pytest.raises(ValueError, match="non-negative"):
-            prune_cache(str(tmp_path), max_bytes=-1)
-
-    def test_missing_directory_is_empty(self, tmp_path):
-        assert cache_entries(str(tmp_path / "nowhere")) == []
-
-
 class TestCLI:
     def test_run_with_errors_exits_nonzero_but_writes_bench(self, tmp_path, capsys):
         status = cli_main(["run", "fault-smoke", "--out", str(tmp_path)])
@@ -431,21 +366,6 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "ERR" in output
         assert "errors=2" in output
-
-    def test_cache_ls_and_prune(self, tmp_path, capsys):
-        cache = str(tmp_path / "cayley")
-        TestCacheEviction._make_entry(cache, "feed", 50, age_seconds=50)
-        TestCacheEviction._make_entry(cache, "face", 50, age_seconds=5)
-        assert cli_main(["cache", "ls", cache]) == 0
-        output = capsys.readouterr().out
-        assert "feed" in output and "face" in output and "2 entries" in output
-        assert cli_main(["cache", "prune", cache, "--max-bytes", "100"]) == 0
-        assert "evicted 1 entries" in capsys.readouterr().out
-        assert [entry["digest"] for entry in cache_entries(cache)] == ["face"]
-
-    def test_cache_ls_empty_directory(self, tmp_path, capsys):
-        assert cli_main(["cache", "ls", str(tmp_path)]) == 0
-        assert "no Cayley cache entries" in capsys.readouterr().out
 
     def test_run_sweeps_runs_every_sweep_and_combines_status(self, tmp_path, capsys):
         status = run_sweeps(["fault-smoke", "smoke"], ["--out", str(tmp_path)])
