@@ -30,8 +30,10 @@ Performance engine
 The paper counts oracle queries; the simulation's wall-clock cost lives in
 per-element Python group arithmetic.  ``repro.groups.engine`` provides a
 vectorized Cayley engine (:class:`~repro.groups.engine.CayleyBackend`) that
-interns elements to dense integer ids, memoizes products in a lazily filled
-NumPy Cayley table (with a sparse fallback past a size guard), and exposes
+interns elements to dense integer ids, computes products a whole id array
+at a time through the group's dense kernel (resolving result rows to ids
+by a rank and one gather; a sparse per-pair fallback serves groups without
+a kernel), and exposes
 batch operations (``mul_many``, ``inv_many``, ``conj_many``,
 ``orbit_closure``) plus memoized structure queries (commutator subgroups,
 element orders, subgroup closures).  The hot paths — Fourier sampling,

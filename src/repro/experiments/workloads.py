@@ -331,7 +331,7 @@ declare(
 # -- scaling trajectory (bench_scaling.py, BENCH_scaling.json) ----------------
 
 #: Axes of the dense-kernel scaling benchmark: per family, group sizes from
-#: comfortably-enumerable up to well past the Cayley-table limit (dihedral
+#: comfortably-enumerable up to the engine's enumeration range (dihedral
 #: reaches |G| = 16384 and extraspecial |G| = 24389, an order of magnitude
 #: beyond the largest group in any other committed BENCH).
 #: ``bench_scaling.py`` solves each point cold (fresh group, fresh engine,

@@ -26,6 +26,7 @@ class _AbelianKernel(DenseKernel):
 
     def __init__(self, moduli: Tuple[int, ...]):
         self.width = len(moduli)
+        self.radices = tuple(moduli)
         self._moduli = np.asarray(moduli, dtype=np.int64)
 
     def encode_many(self, elements: Sequence[Vector]) -> np.ndarray:
@@ -34,7 +35,7 @@ class _AbelianKernel(DenseKernel):
         return np.asarray(list(elements), dtype=np.int64)
 
     def decode_many(self, rows: np.ndarray) -> List[Vector]:
-        return [tuple(int(v) for v in row) for row in rows]
+        return [tuple(row) for row in np.asarray(rows).tolist()]
 
     def compose_many(self, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
         return (rows_a + rows_b) % self._moduli

@@ -41,8 +41,14 @@ class DenseKernel:
     :meth:`FiniteGroup.dense_kernel`.  The Cayley engine then computes whole
     blocks of products and inverses as single NumPy expressions instead of
     calling the scalar :meth:`FiniteGroup.multiply` per pair — this is the
-    batch protocol behind the bulk table fills and the ``"kernel"`` engine
-    mode.
+    batch protocol behind the engine's ``"kernel"`` mode.
+
+    Rows are named by a *rank*: the mixed-radix number formed by the
+    ``rank_columns`` of the row, digit ``j`` in ``[0, radices[j])``.  The
+    rank must be injective on the rows of group members, which lets the
+    engine resolve a whole block of rows to dense ids with one gather.
+    Coordinate groups rank every column, so their rank space is exactly
+    ``|G|``; permutation groups rank the images of a stabiliser-chain base.
 
     Contract: ``decode_many(encode_many(xs)) == xs`` for group elements, and
     ``compose_many``/``inverse_many`` agree row-for-row with the group's
@@ -53,6 +59,43 @@ class DenseKernel:
 
     #: Number of int64 coordinates per element row.
     width: int = 0
+
+    #: Exclusive upper bound of each coordinate column (``width`` entries):
+    #: every member row lies in ``[0, radices)`` componentwise.
+    radices: Sequence[int] = ()
+
+    #: The columns that determine a member row (``None``: all of them).
+    rank_columns: Optional[Sequence[int]] = None
+
+    _strides: Optional[np.ndarray] = None
+
+    @property
+    def rank_size(self) -> int:
+        """Size of the rank space: member rows rank into ``range(rank_size)``."""
+        size = 1
+        for column in self.ranked_columns():
+            size *= int(self.radices[column])
+        return size
+
+    def rank_many(self, rows: np.ndarray) -> np.ndarray:
+        """Mixed-radix ranks of an ``(n, width)`` block of in-bounds rows.
+
+        Only meaningful when ``rank_size`` fits in int64; callers check the
+        bounds (``0 <= rows < radices``) first.
+        """
+        if self._strides is None:
+            values, stride = [], 1
+            for column in reversed(self.ranked_columns()):
+                values.append(stride)
+                stride *= int(self.radices[column])
+            self._strides = np.asarray(values[::-1], dtype=np.int64)
+        if self.rank_columns is not None:
+            rows = rows[:, self.rank_columns]
+        return rows @ self._strides
+
+    def ranked_columns(self) -> Sequence[int]:
+        """The columns the rank reads, most significant first."""
+        return range(self.width) if self.rank_columns is None else self.rank_columns
 
     def encode_many(self, elements: Sequence[Element]) -> np.ndarray:
         """Encode elements into an ``(n, width)`` int64 row array."""
@@ -144,7 +187,7 @@ class FiniteGroup(abc.ABC):
     def power(self, a: Element, k: int) -> Element:
         """``a**k`` by binary exponentiation (``k`` may be negative)."""
         engine = getattr(self, "_cayley_engine", None)
-        if engine is not None and engine.mode in ("table", "kernel"):
+        if engine is not None and engine.full_enumeration:
             return engine.element_of(engine.power(engine.intern(a), k))
         if k < 0:
             return self.power(self.inverse(a), -k)
@@ -196,7 +239,7 @@ class FiniteGroup(abc.ABC):
         if self.is_identity(a):
             return 1
         engine = getattr(self, "_cayley_engine", None)
-        if engine is not None and engine.mode in ("table", "kernel"):
+        if engine is not None and engine.full_enumeration:
             return engine.element_order(engine.intern(a))
         bound = exponent if exponent is not None else self.exponent_bound()
         if bound is not None:
@@ -234,6 +277,12 @@ class FiniteGroup(abc.ABC):
             return cached
         gens = list(self.generators())
         gens = gens + [self.inverse(g) for g in gens]
+        engine = getattr(self, "_cayley_engine", None)
+        if engine is not None and engine.full_enumeration:
+            # Same order, walked over one block of engine products.
+            elements = engine.elements_of(engine.breadth_first_ids(engine.intern_many(gens)))
+            self._element_cache = elements
+            return elements
         seen: Dict[Element, None] = {self.identity(): None}
         frontier = [self.identity()]
         while frontier:

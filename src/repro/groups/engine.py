@@ -1,4 +1,4 @@
-"""Vectorized Cayley-table group engine.
+"""Vectorized Cayley group engine.
 
 The paper states its complexity bounds in oracle queries, but the wall-clock
 cost of the *simulation* is dominated by per-element Python group arithmetic
@@ -7,15 +7,25 @@ a :class:`CayleyBackend` that
 
 * interns group elements to dense integer ids (a bijection between the
   elements touched so far and ``0..n-1``),
-* memoizes products and inverses in a lazily filled, in-memory NumPy Cayley
-  table when the group is small enough (``order <= table_limit``), falling
-  back to a sparse pair-cache for larger groups — tables live exactly as
-  long as the engine and are never written to disk,
+* has one dense route, ``mode == "kernel"``: a group with a
+  :class:`~repro.groups.base.DenseKernel` is enumerated once in kernel row
+  space, products and inverses are computed array-at-a-time by the kernel,
+  and any block of rows resolves to ids by the kernel's rank and one gather
+  into a position array.  Elements are decoded from their rows only when a
+  caller asks for them,
+* falls back to ``mode == "sparse"`` (on-demand interning, per-pair
+  memoisation over the scalar group arithmetic) for groups without a kernel
+  — matrix groups, quotients, subgroup views — or whose rank space is too
+  large for a dense position array,
 * exposes batch operations — :meth:`mul_many`, :meth:`inv_many`,
   :meth:`conj_many`, :meth:`orbit_closure` — that amortise Python dispatch
   over whole id arrays, and
 * memoizes structure queries (:meth:`is_abelian`, the commutator subgroup,
   element orders) that the solvers ask for repeatedly.
+
+Every engine array is linear in the group order (the position array in the
+rank space, which is ``|G|`` itself for coordinate groups); nothing is
+quadratic, and nothing is written to disk.
 
 The engine is *mathematically transparent*: every operation agrees with the
 scalar :class:`~repro.groups.base.FiniteGroup` interface of the wrapped group
@@ -34,11 +44,12 @@ which keeps the per-element code path as the fallback.
 from __future__ import annotations
 
 import time
+from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.groups.base import FiniteGroup, GroupError
+from repro.groups.base import DenseKernel, FiniteGroup, GroupError
 from repro.obs import metrics as obs_metrics
 from repro.obs import span as obs_span
 
@@ -48,45 +59,18 @@ __all__ = [
     "maybe_engine",
 ]
 
-#: Largest group order for which the dense (lazily filled) Cayley table is used.
-DEFAULT_TABLE_LIMIT = 4096
-
-#: Largest group order for which :func:`maybe_engine` engages at all; beyond
-#: this the sparse pair-cache would still be correct but interning whole
-#: orbits may not fit comfortably in memory.
+#: Largest group order the engine enumerates; :func:`maybe_engine` declines
+#: larger groups, and direct construction keeps them in sparse mode.
 DEFAULT_INTERN_LIMIT = 1 << 16
+
+#: Largest kernel rank space backed by a dense (int64) position array.
+_RANK_SPACE_LIMIT = 1 << 21
+
+#: Largest pair block of one doubling level in :meth:`CayleyBackend.subgroup_ids`.
+_PAIR_BUDGET = 1 << 17
 
 #: Safety cap for element-order iteration in sparse mode.
 _ORDER_ITERATION_LIMIT = 10**7
-
-
-class _RowIndex:
-    """Row -> id lookup over an ``(n, w)`` int64 row matrix.
-
-    Rows are compared as opaque byte strings through a void view — the
-    classic unique-rows idiom — so a whole block of kernel-computed product
-    rows resolves to ids with one ``searchsorted``.  Unknown rows (a kernel
-    bug, or a foreign element) raise :class:`GroupError`.
-    """
-
-    def __init__(self, rows: np.ndarray):
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        self._rows = rows
-        self._void = np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))
-        keys = rows.view(self._void).ravel()
-        self._order = np.argsort(keys)
-        self._sorted = keys[self._order]
-
-    def lookup(self, query: np.ndarray) -> np.ndarray:
-        query = np.ascontiguousarray(query, dtype=np.int64)
-        if query.size == 0:
-            return np.empty(0, dtype=np.int64)
-        qkeys = query.view(self._void).ravel()
-        pos = np.minimum(np.searchsorted(self._sorted, qkeys), len(self._sorted) - 1)
-        ids = self._order[pos].astype(np.int64)
-        if not np.array_equal(self._rows[ids], query):
-            raise GroupError("dense kernel produced a row outside the enumerated group")
-        return ids
 
 
 def _cheap_order(group: FiniteGroup) -> Optional[int]:
@@ -108,43 +92,32 @@ def _cheap_order(group: FiniteGroup) -> Optional[int]:
     return None
 
 
-def _row_keys(rows: np.ndarray) -> List[bytes]:
-    """Hashable per-row keys of a contiguous int64 row block."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    stride = rows.shape[1] * rows.dtype.itemsize
-    data = rows.tobytes()
-    return [data[i * stride : (i + 1) * stride] for i in range(rows.shape[0])]
-
-
-def _row_chain(kernel, identity_row: np.ndarray, gen_row: np.ndarray) -> np.ndarray:
+def _row_chain(kernel: DenseKernel, identity_row: np.ndarray, gen_row: np.ndarray) -> np.ndarray:
     """Rows of the cyclic group ``<g>`` by shift doubling on kernel rows.
 
     Same invariant as :meth:`CayleyBackend._cyclic_power_ids` — ``powers =
     [g^0 .. g^{k-1}]`` with ``pivot = g^k`` — but over raw kernel rows, for
     use before any id assignment exists.  ``O(log ord g)`` kernel calls.
     """
-    if bytes(np.ascontiguousarray(gen_row, dtype=np.int64).tobytes()) == bytes(
-        np.ascontiguousarray(identity_row, dtype=np.int64).tobytes()
-    ):
-        return np.ascontiguousarray(identity_row, dtype=np.int64)[None, :]
-    powers = np.ascontiguousarray(np.stack([identity_row, gen_row]), dtype=np.int64)
-    seen = set(_row_keys(powers))
+    if np.array_equal(gen_row, identity_row):
+        return identity_row[None, :]
+    powers = np.stack([identity_row, gen_row])
     pivot = kernel.compose_many(gen_row[None, :], gen_row[None, :])[0]
     while True:
-        block = np.ascontiguousarray(
-            kernel.compose_many(powers, np.tile(pivot, (powers.shape[0], 1))),
-            dtype=np.int64,
+        # One call per level: powers * pivot, then pivot * pivot.
+        k = powers.shape[0]
+        block = np.asarray(
+            kernel.compose_many(np.concatenate([powers, pivot[None, :]]), np.tile(pivot, (k + 1, 1)))
         )
-        keys = _row_keys(block)
-        cut = next((i for i, k in enumerate(keys) if k in seen), None)
-        if cut is not None:
-            return np.concatenate([powers, block[:cut]])
-        seen.update(keys)
-        powers = np.concatenate([powers, block])
-        pivot = kernel.compose_many(pivot[None, :], pivot[None, :])[0]
+        # The first power that repeats is g^ord, the identity.
+        cut = np.flatnonzero((block[:k] == identity_row).all(axis=1))
+        if cut.size:
+            return np.concatenate([powers, block[: cut[0]]])
+        powers = np.concatenate([powers, block[:k]])
+        pivot = block[k]
 
 
-def _kernel_enumerate_rows(kernel, identity_row: np.ndarray, gen_rows: np.ndarray) -> np.ndarray:
+def _enumerate_rows(kernel: DenseKernel, identity_row: np.ndarray, gen_rows: np.ndarray) -> np.ndarray:
     """Enumerate the group generated by ``gen_rows`` entirely in row space.
 
     Dimino-style closure: the first generator's cyclic chain is built by
@@ -152,44 +125,50 @@ def _kernel_enumerate_rows(kernel, identity_row: np.ndarray, gen_rows: np.ndarra
     subgroup ``K`` coset by coset — each new representative ``r``
     contributes the whole block ``K @ powers(r)`` in bulk kernel calls, and
     representatives are probed breadth-first with every generator processed
-    so far.  No scalar ``multiply`` is ever called; the output order is
-    deterministic (identity first), which fixes the dense id assignment.
+    so far.  Membership is one flag per rank.  No scalar ``multiply`` is
+    ever called; the output order is deterministic (identity first), which
+    fixes the dense id assignment.
     """
+    seen = np.zeros(kernel.rank_size, dtype=bool)
     blocks: List[np.ndarray] = []
-    seen: set = set()
+
+    def unseen(row: np.ndarray) -> bool:
+        return not seen[kernel.rank_many(row[None, :])[0]]
 
     def absorb(rows: np.ndarray) -> None:
-        fresh_idx = []
-        for i, row_key in enumerate(_row_keys(rows)):
-            if row_key not in seen:
-                seen.add(row_key)
-                fresh_idx.append(i)
-        if fresh_idx:
-            blocks.append(np.ascontiguousarray(rows[np.asarray(fresh_idx)], dtype=np.int64))
+        # First occurrences, in row order, of ranks not seen before.
+        ranks = kernel.rank_many(rows)
+        _, first = np.unique(ranks, return_index=True)
+        first.sort()
+        fresh = first[~seen[ranks[first]]]
+        if fresh.size:
+            seen[ranks[fresh]] = True
+            blocks.append(rows[fresh])
 
-    identity_row = np.ascontiguousarray(identity_row, dtype=np.int64)
     absorb(identity_row[None, :])
     processed: List[np.ndarray] = []
-    for g_idx in range(gen_rows.shape[0]):
-        gen_row = np.ascontiguousarray(gen_rows[g_idx], dtype=np.int64)
+    for gen_row in gen_rows:
         processed.append(gen_row)
-        if _row_keys(gen_row[None, :])[0] in seen:
+        if not unseen(gen_row):
             continue
         base = np.concatenate(blocks)
-        pending: List[np.ndarray] = [gen_row]
+        pending = deque([gen_row])
         while pending:
-            rep = pending.pop(0)
-            if _row_keys(rep[None, :])[0] in seen:
+            rep = pending.popleft()
+            if not unseen(rep):
                 continue
             # powers = [e, r, r^2, ...]: the whole stack of cosets
             # K r^j lands in one bulk call, and every power is probed with
             # every processed generator so no coset of the closure is missed.
             shifts = _row_chain(kernel, identity_row, rep)[1:]
-            coset = kernel.compose_many(
-                np.repeat(base, shifts.shape[0], axis=0),
-                np.tile(shifts, (base.shape[0], 1)),
+            absorb(
+                np.asarray(
+                    kernel.compose_many(
+                        np.repeat(base, shifts.shape[0], axis=0),
+                        np.tile(shifts, (base.shape[0], 1)),
+                    )
+                )
             )
-            absorb(np.asarray(coset))
             gen_stack = np.stack(processed)
             probes = np.asarray(
                 kernel.compose_many(
@@ -197,128 +176,115 @@ def _kernel_enumerate_rows(kernel, identity_row: np.ndarray, gen_rows: np.ndarra
                     np.tile(gen_stack, (shifts.shape[0], 1)),
                 )
             )
-            fresh = [i for i, k in enumerate(_row_keys(probes)) if k not in seen]
-            pending.extend(np.ascontiguousarray(probes[i], dtype=np.int64) for i in fresh)
+            pending.extend(probes[~seen[kernel.rank_many(probes)]])
     return np.concatenate(blocks)
 
 
 class CayleyBackend:
     """Dense-id engine over a :class:`~repro.groups.base.FiniteGroup`.
 
-    Parameters
-    ----------
-    group:
-        The wrapped group.  Elements must be hashable (they are, for every
-        concrete group in this reproduction).
-    table_limit:
-        Orders up to this use ``mode == "table"`` (a lazily filled dense
-        NumPy Cayley table over the *full* element list); larger groups use
-        ``mode == "kernel"`` when the group exposes a
-        :class:`~repro.groups.base.DenseKernel` and ``kernel_limit`` allows
-        it, and ``mode == "sparse"`` (per-pair memoisation, on-demand
-        interning) otherwise.
-    kernel_limit:
-        Opt-in ceiling for ``mode == "kernel"``: orders in
-        ``(table_limit, kernel_limit]`` with a dense kernel enumerate the
-        whole group but skip the ``n^2`` table — products and inverses are
-        computed array-at-a-time by the kernel and resolved back to ids via
-        a sorted row index.  ``None`` (the default for direct construction)
-        disables the mode; :func:`maybe_engine` passes its ``intern_limit``.
+    ``group`` is the wrapped group; its elements must be hashable (they are,
+    for every concrete group in this reproduction).  A group with a
+    :class:`~repro.groups.base.DenseKernel`, a cheaply known order up to
+    ``DEFAULT_INTERN_LIMIT`` and a rank space up to ``_RANK_SPACE_LIMIT``
+    runs in ``mode == "kernel"``: the whole group is enumerated in row space
+    at construction (ids follow that enumeration, identity first), and the
+    engine keeps three arrays — the ``(n, width)`` rows, the inverse ids and
+    the rank -> id position array.  Every other group runs in ``mode ==
+    "sparse"``: ids are allocated on first sight and products are memoized
+    pair by pair over the scalar arithmetic.
     """
 
-    def __init__(
-        self,
-        group: FiniteGroup,
-        table_limit: int = DEFAULT_TABLE_LIMIT,
-        kernel_limit: Optional[int] = None,
-    ):
+    def __init__(self, group: FiniteGroup):
         self.group = group
-        self.table_limit = table_limit
         self._elements: List = []
         self._ids: Dict = {}
         self._mul_cache: Dict[Tuple[int, int], int] = {}
         self._inv_cache: Dict[int, int] = {}
         self._order_cache: Dict[int, int] = {}
-        self._table: Optional[np.ndarray] = None
-        self._inv_table: Optional[np.ndarray] = None
         self._is_abelian: Optional[bool] = None
         self._commutator_ids: Optional[np.ndarray] = None
         self._subgroup_cache: Dict[Tuple[int, ...], np.ndarray] = {}
-        self.full_enumeration = False
-        self._kernel_rows: Optional[np.ndarray] = None
-        self._row_index: Optional[_RowIndex] = None
         factory = getattr(group, "dense_kernel", None)
-        kernel = factory() if factory is not None else None
-        self.kernel = kernel
+        self.kernel: Optional[DenseKernel] = factory() if factory is not None else None
         order = _cheap_order(group)
         self.group_order = order
-        if order is not None and order <= table_limit:
-            self.mode = "table"
-        elif (
-            kernel is not None
-            and kernel_limit is not None
+        self.full_enumeration = (
+            self.kernel is not None
             and order is not None
-            and order <= kernel_limit
-        ):
-            self.mode = "kernel"
-        else:
-            self.mode = "sparse"
+            and order <= DEFAULT_INTERN_LIMIT
+            and self.kernel.rank_size <= _RANK_SPACE_LIMIT
+        )
+        self.mode = "kernel" if self.full_enumeration else "sparse"
         with obs_span("engine.build", group=group.name, mode=self.mode) as build_span:
-            if self.mode in ("table", "kernel"):
-                if self.mode == "kernel":
-                    # Row-space enumeration: the scalar element_list() BFS
-                    # is the dominant cold cost past the table limit, so
-                    # kernel mode enumerates by bulk kernel calls instead
-                    # (table mode keeps element_list() order — its ids are
-                    # shared with the scalar paths).
-                    rows = _kernel_enumerate_rows(
-                        self.kernel,
-                        np.asarray(self.kernel.encode_many([group.identity()]))[0],
-                        np.asarray(self.kernel.encode_many(group.generators())),
-                    )
-                    if order is not None and rows.shape[0] != order:
-                        raise GroupError(
-                            f"kernel enumeration found {rows.shape[0]} elements "
-                            f"of {group.name}, expected {order}"
-                        )
-                    for element in self.kernel.decode_many(rows):
-                        self.intern(element)
-                else:
-                    for element in group.element_list():
-                        self.intern(element)
-                n = len(self._elements)
-                self.full_enumeration = True
-                if self.mode == "table":
-                    self._table = np.full((n, n), -1, dtype=np.int32)
-                    self._inv_table = np.full(n, -1, dtype=np.int32)
-                if self.kernel is not None:
-                    self._kernel_rows = np.ascontiguousarray(
-                        self.kernel.encode_many(self._elements), dtype=np.int64
-                    )
-                    self._row_index = _RowIndex(self._kernel_rows)
-                    if self.mode == "kernel":
-                        # One bulk kernel pass replaces n lazy scalar fills.
-                        self._inv_table = np.empty(n, dtype=np.int64)
-                        self._inv_table[:] = self._bulk_inverses(
-                            np.arange(n, dtype=np.int64)
-                        )
+            if self.full_enumeration:
+                self._enumerate(order)
             self.identity_id = self.intern(group.identity())
             build_span.add("interned", len(self._elements))
 
+    def _enumerate(self, order: int) -> None:
+        """Kernel mode: rows, rank -> id positions and inverse ids of all of ``G``."""
+        kernel = self.kernel
+        rows = _enumerate_rows(
+            kernel,
+            np.asarray(kernel.encode_many([self.group.identity()]), dtype=np.int64)[0],
+            np.asarray(kernel.encode_many(self.group.generators()), dtype=np.int64),
+        )
+        if rows.shape[0] != order:
+            raise GroupError(
+                f"kernel enumeration found {rows.shape[0]} elements "
+                f"of {self.group.name}, expected {order}"
+            )
+        n = rows.shape[0]
+        self._rows = rows
+        self._radices = np.asarray(kernel.radices, dtype=np.int64)
+        self._position = np.full(kernel.rank_size, -1, dtype=np.int64)
+        self._position[kernel.rank_many(rows)] = np.arange(n, dtype=np.int64)
+        # Elements are decoded from their rows on first request.
+        self._elements = [None] * n
+        self._inverses = self._resolve(kernel.inverse_many(rows))
+
+    # -- rows -> ids ----------------------------------------------------------------
+    def _resolve(self, rows: np.ndarray) -> np.ndarray:
+        """Ids of kernel-computed member rows: one rank and one gather."""
+        ids = self._position[self.kernel.rank_many(rows)]
+        if ids.size and ids.min() < 0:
+            raise GroupError("dense kernel produced a row outside the enumerated group")
+        return ids
+
+    def _lookup(self, elements: List) -> np.ndarray:
+        """Kernel-mode ids of caller-supplied elements, rejecting non-members."""
+        kernel = self.kernel
+        try:
+            rows = np.asarray(kernel.encode_many(elements), dtype=np.int64)
+        except (TypeError, ValueError, IndexError, OverflowError) as exc:
+            raise GroupError(f"cannot encode an element of {self.group.name}: {exc}") from None
+        if rows.shape != (len(elements), kernel.width):
+            raise GroupError(f"an element of {self.group.name} has the wrong width")
+        if ((rows < 0) | (rows >= self._radices)).any():
+            raise GroupError(f"an element has a coordinate outside {self.group.name}")
+        ids = self._position[kernel.rank_many(rows)]
+        # A rank names at most one member; the row comparison also rejects
+        # rows that share a member's rank (a non-member permutation agreeing
+        # with a member on the base points).
+        if (ids < 0).any() or not np.array_equal(self._rows[ids], rows):
+            bad = elements[int(np.argmax((ids < 0) | (self._rows[ids] != rows).any(axis=1)))]
+            raise GroupError(f"element {bad!r} is not in the enumerated group {self.group.name}")
+        return ids
+
     # -- interning ------------------------------------------------------------
     def intern(self, element) -> int:
-        """The dense id of ``element`` (allocating one on first sight)."""
+        """The dense id of ``element`` (allocating one on first sight in sparse mode)."""
         found = self._ids.get(element)
         if found is not None:
             return found
         if self.full_enumeration:
-            raise GroupError(
-                f"element {element!r} is not in the enumerated group {self.group.name}"
-            )
-        new_id = len(self._elements)
-        self._ids[element] = new_id
-        self._elements.append(element)
-        return new_id
+            found = int(self._lookup([element])[0])
+        else:
+            found = len(self._elements)
+            self._elements.append(element)
+        self._ids[element] = found
+        return found
 
     def intern_many(self, elements: Iterable) -> np.ndarray:
         if isinstance(elements, np.ndarray):
@@ -327,96 +293,76 @@ class CayleyBackend:
                 return elements
             if np.issubdtype(elements.dtype, np.integer):
                 return elements.astype(np.int64)
-        size = len(elements) if hasattr(elements, "__len__") else None
-        if size == 0:
-            return np.empty(0, dtype=np.int64)
-        if size is not None:
-            return np.fromiter(
-                (self.intern(e) for e in elements), dtype=np.int64, count=size
-            )
-        return np.asarray([self.intern(e) for e in elements], dtype=np.int64)
+        if not self.full_enumeration:
+            return np.fromiter((self.intern(e) for e in elements), dtype=np.int64)
+        elements = elements if isinstance(elements, list) else list(elements)
+        memo = self._ids
+        ids = np.fromiter((memo.get(e, -1) for e in elements), dtype=np.int64, count=len(elements))
+        missing = np.flatnonzero(ids < 0)
+        if missing.size:
+            fresh = [elements[i] for i in missing.tolist()]
+            found = self._lookup(fresh)
+            ids[missing] = found
+            memo.update(zip(fresh, found.tolist()))
+        return ids
+
+    def _decode(self, ids: List[int]) -> None:
+        """Kernel mode: decode rows of not yet decoded ids, memoising both ways."""
+        for i, element in zip(ids, self.kernel.decode_many(self._rows[ids])):
+            self._elements[i] = element
+            self._ids[element] = i
 
     def element_of(self, element_id: int):
-        return self._elements[int(element_id)]
+        element_id = int(element_id)
+        element = self._elements[element_id]
+        if element is None:
+            self._decode([element_id])
+            element = self._elements[element_id]
+        return element
 
     def elements_of(self, ids: Iterable) -> List:
-        return [self._elements[int(i)] for i in ids]
+        ids = ids.tolist() if isinstance(ids, np.ndarray) else [int(i) for i in ids]
+        elements = self._elements
+        if self.full_enumeration:
+            missing = sorted({i for i in ids if elements[i] is None})
+            if missing:
+                self._decode(missing)
+        return [elements[i] for i in ids]
 
     @property
     def interned_count(self) -> int:
         return len(self._elements)
 
-    # -- bulk kernel primitives ------------------------------------------------
-    def _bulk_products(self, ids_a: np.ndarray, ids_b: np.ndarray) -> np.ndarray:
-        """Products of id arrays through the dense kernel (no scalar multiply)."""
+    # -- products -------------------------------------------------------------
+    def _products(self, ids_a: np.ndarray, ids_b: np.ndarray) -> np.ndarray:
+        """Kernel mode: products of two id arrays in one kernel call."""
         start = time.perf_counter() if obs_metrics.collecting() else None
-        rows = self.kernel.compose_many(self._kernel_rows[ids_a], self._kernel_rows[ids_b])
-        ids = self._row_index.lookup(rows)
+        ids = self._resolve(self.kernel.compose_many(self._rows[ids_a], self._rows[ids_b]))
         if start is not None:
             obs_metrics.observe("engine.bulk.mul", time.perf_counter() - start)
         return ids
 
-    def _bulk_inverses(self, ids: np.ndarray) -> np.ndarray:
-        start = time.perf_counter() if obs_metrics.collecting() else None
-        out = self._row_index.lookup(self.kernel.inverse_many(self._kernel_rows[ids]))
-        if start is not None:
-            obs_metrics.observe("engine.bulk.inv", time.perf_counter() - start)
-        return out
-
-    # -- scalar primitives ----------------------------------------------------
-    def _fill_product(self, a: int, b: int) -> int:
-        """Compute one uncached product; the miss path, timed when observed."""
-        start = time.perf_counter() if obs_metrics.collecting() else None
-        if self._kernel_rows is not None:
-            value = int(
-                self._bulk_products(
-                    np.asarray([a], dtype=np.int64), np.asarray([b], dtype=np.int64)
-                )[0]
-            )
-        else:
-            value = self.intern(self.group.multiply(self._elements[a], self._elements[b]))
-        if start is not None:
-            obs_metrics.observe("engine.fill.mul", time.perf_counter() - start)
-        return value
-
-    def _fill_inverse(self, a: int) -> int:
-        start = time.perf_counter() if obs_metrics.collecting() else None
-        if self._kernel_rows is not None:
-            value = int(self._bulk_inverses(np.asarray([a], dtype=np.int64))[0])
-        else:
-            value = self.intern(self.group.inverse(self._elements[a]))
-        if start is not None:
-            obs_metrics.observe("engine.fill.inv", time.perf_counter() - start)
-        return value
-
     def mul(self, a: int, b: int) -> int:
         """Product of two interned elements, memoized."""
-        a = int(a)
-        b = int(b)
-        if self._table is not None:
-            value = int(self._table[a, b])
-            if value < 0:
-                value = self._fill_product(a, b)
-                self._table[a, b] = value
-            return value
-        key = (a, b)
+        key = (int(a), int(b))
         value = self._mul_cache.get(key)
         if value is None:
-            value = self._fill_product(a, b)
+            if self.full_enumeration:
+                value = int(self._products(np.asarray(key[:1]), np.asarray(key[1:]))[0])
+            else:
+                value = self.intern(
+                    self.group.multiply(self._elements[key[0]], self._elements[key[1]])
+                )
             self._mul_cache[key] = value
         return value
 
     def inv(self, a: int) -> int:
         a = int(a)
-        if self._inv_table is not None:
-            value = int(self._inv_table[a])
-            if value < 0:
-                value = self._fill_inverse(a)
-                self._inv_table[a] = value
-            return value
+        if self.full_enumeration:
+            return int(self._inverses[a])
         value = self._inv_cache.get(a)
         if value is None:
-            value = self._fill_inverse(a)
+            value = self.intern(self.group.inverse(self._elements[a]))
             self._inv_cache[a] = value
         return value
 
@@ -440,27 +386,8 @@ class CayleyBackend:
         ids_b = np.asarray(ids_b, dtype=np.int64)
         if ids_a.shape != ids_b.shape:
             raise ValueError("mul_many requires id arrays of equal length")
-        if self._table is not None:
-            out = self._table[ids_a, ids_b].astype(np.int64)
-            missing = np.flatnonzero(out < 0)
-            if missing.size:
-                if self._kernel_rows is not None:
-                    # Bulk fill: one kernel call computes every missing
-                    # product and writes it back into the lazy table.
-                    filled = self._bulk_products(ids_a[missing], ids_b[missing])
-                    out[missing] = filled
-                    self._table[ids_a[missing], ids_b[missing]] = filled
-                else:
-                    for idx in missing:
-                        out[idx] = self.mul(int(ids_a[idx]), int(ids_b[idx]))
-            return out
-        if self.mode == "kernel":
-            if ids_a.size == 0:
-                return np.empty(0, dtype=np.int64)
-            if ids_a.size > 8:
-                return self._bulk_products(ids_a, ids_b)
-            # Tiny batches (deep BFS levels degenerate to a few pairs) are
-            # overhead-bound in the kernel: the memoized scalar path wins.
+        if self.full_enumeration:
+            return self._products(ids_a, ids_b)
         return np.fromiter(
             (self.mul(a, b) for a, b in zip(ids_a, ids_b)), dtype=np.int64, count=len(ids_a)
         )
@@ -468,18 +395,8 @@ class CayleyBackend:
     def inv_many(self, ids: Sequence[int]) -> np.ndarray:
         """Componentwise inverses of an id array."""
         ids = np.asarray(ids, dtype=np.int64)
-        if self._inv_table is not None:
-            out = self._inv_table[ids].astype(np.int64)
-            missing = np.flatnonzero(out < 0)
-            if missing.size:
-                if self._kernel_rows is not None:
-                    filled = self._bulk_inverses(ids[missing])
-                    out[missing] = filled
-                    self._inv_table[ids[missing]] = filled
-                else:
-                    for idx in missing:
-                        out[idx] = self.inv(int(ids[idx]))
-            return out
+        if self.full_enumeration:
+            return self._inverses[ids]
         return np.fromiter((self.inv(a) for a in ids), dtype=np.int64, count=len(ids))
 
     def conj_many(self, ids_g: Sequence[int], ids_h: Sequence[int]) -> np.ndarray:
@@ -534,6 +451,28 @@ class CayleyBackend:
             frontier = np.asarray(fresh, dtype=np.int64)
         return np.asarray(sorted(seen), dtype=np.int64)
 
+    def breadth_first_ids(self, generator_ids: Sequence[int]) -> List[int]:
+        """Ids of ``<generator_ids>`` in scalar breadth-first order.
+
+        The order of :meth:`~repro.groups.base.FiniteGroup.element_list`:
+        each element in turn times each generator, keeping first
+        sightings.  Kernel mode only: one products block gives every
+        element's right neighbours, and the walk runs over that adjacency.
+        """
+        gen_ids = np.asarray(generator_ids, dtype=np.int64)
+        n = len(self._elements)
+        everything = np.arange(n, dtype=np.int64)
+        neighbours = self.mul_many(np.repeat(everything, gen_ids.size), np.tile(gen_ids, n))
+        neighbours = neighbours.reshape(n, gen_ids.size).tolist()
+        order = [self.identity_id]
+        seen = {self.identity_id}
+        for element_id in order:  # the queue grows while it is walked
+            for neighbour in neighbours[element_id]:
+                if neighbour not in seen:
+                    seen.add(neighbour)
+                    order.append(neighbour)
+        return order
+
     def _cyclic_power_ids(self, gen_id: int) -> np.ndarray:
         """Ids of the cyclic subgroup ``<g>`` by shift doubling.
 
@@ -541,44 +480,40 @@ class CayleyBackend:
         ``pivot = g^k``; each level appends ``powers * pivot`` (the next
         ``k`` powers in one bulk product) and squares the pivot, so the
         whole chain costs ``O(log ord g)`` vectorised calls.  The first
-        already-seen entry of a block is ``g^ord``, which truncates the
+        power that repeats is ``g^ord``, the identity, which truncates the
         final block exactly.
         """
         if gen_id == self.identity_id:
             return np.asarray([self.identity_id], dtype=np.int64)
         powers = np.asarray([self.identity_id, gen_id], dtype=np.int64)
-        seen = np.zeros(len(self._elements), dtype=bool)
-        seen[powers] = True
         pivot = int(self.mul_many([gen_id], [gen_id])[0])
         while True:
-            block = self.mul_many(powers, np.full(powers.size, pivot, dtype=np.int64))
-            dup = seen[block]
-            if dup.any():
-                cut = int(np.argmax(dup))
-                return np.concatenate([powers, block[:cut]])
-            seen[block] = True
-            powers = np.concatenate([powers, block])
-            pivot = int(self.mul_many([pivot], [pivot])[0])
+            # One products block per level: powers * pivot, then pivot * pivot.
+            k = powers.size
+            block = self.mul_many(np.append(powers, pivot), np.full(k + 1, pivot, dtype=np.int64))
+            cut = np.flatnonzero(block[:k] == self.identity_id)
+            if cut.size:
+                return np.concatenate([powers, block[: cut[0]]])
+            powers = np.concatenate([powers, block[:k]])
+            pivot = int(block[k])
 
     def subgroup_ids(
         self, generator_ids: Sequence[int], limit: Optional[int] = None, memoize: bool = True
     ) -> np.ndarray:
         """Ids of the subgroup generated by ``generator_ids``.
 
-        With a batch kernel the closure seeds each generator's cyclic
-        subgroup by shift doubling (``O(log ord)`` bulk products apiece),
-        then finishes with budgeted doubling and a linear generator-step
-        tail; without one it keeps the pre-kernel quadratic doubling, whose
-        pair products double as lazy table fills.  Sparse mode falls back
-        to the generator-step orbit closure.  ``memoize=False`` skips the
-        closure cache — use it for one-off generating sets (e.g.
-        incremental re-closures seeded with a whole member set) whose keys
-        would never be hit again.
+        Kernel mode seeds the closure with each generator's cyclic subgroup
+        by shift doubling (``O(log ord)`` bulk products apiece), then
+        finishes with budgeted doubling and a linear generator-step tail.
+        Sparse mode falls back to the generator-step orbit closure.
+        ``memoize=False`` skips the closure cache — use it for one-off
+        generating sets (e.g. incremental re-closures seeded with a whole
+        member set) whose keys would never be hit again.
         """
         gen_ids = np.unique(np.asarray(generator_ids, dtype=np.int64))
         if gen_ids.size == 0:
             return np.asarray([self.identity_id], dtype=np.int64)
-        key = tuple(int(i) for i in gen_ids) if memoize else None
+        key = tuple(gen_ids.tolist()) if memoize else None
         if key is not None:
             cached = self._subgroup_cache.get(key)
             if cached is not None:
@@ -590,48 +525,26 @@ class CayleyBackend:
             if key is not None:
                 self._subgroup_cache[key] = closure
             return closure
-        if self._kernel_rows is None:
-            # Table-mode groups without a batch kernel (no ``dense_kernel``
-            # factory): plain quadratic doubling, whose pair products
-            # double as lazy table fills.
-            current = np.unique(
-                np.concatenate([gen_ids, self.inv_many(gen_ids), [self.identity_id]])
-            )
-            member = np.zeros(len(self._elements), dtype=bool)
-            member[current] = True
-            frontier = current
-            while frontier.size:
-                # Both orders: a pair (a, b) with b discovered after a is
-                # covered at b's level, where a is in `current` — a*b by the
-                # second block and b*a by the first.
-                left = self.mul_many(
-                    np.repeat(frontier, current.size), np.tile(current, frontier.size)
-                )
-                right = self.mul_many(
-                    np.repeat(current, frontier.size), np.tile(frontier, current.size)
-                )
-                products = np.unique(np.concatenate([left, right]))
-                fresh = products[~member[products]]
-                member[fresh] = True
-                current = np.flatnonzero(member).astype(np.int64)
-                if limit is not None and current.size > limit:
-                    raise GroupError(f"subgroup closure exceeded limit {limit}")
-                frontier = fresh
-            if key is not None:
-                self._subgroup_cache[key] = current
-            return current
-        gens_ext = np.unique(np.concatenate([gen_ids, self.inv_many(gen_ids)]))
         member = np.zeros(len(self._elements), dtype=bool)
-        member[gens_ext] = True
         member[self.identity_id] = True
+        count = 1
         # Seed with the cyclic subgroup of every generator: shift doubling
         # delivers each ``<g>`` in O(log ord g) bulk products, so near-cyclic
         # subgroups — hidden rotation subgroups are the common case — close
-        # in a couple of further levels instead of a quadratic cascade.
-        for gen in gen_ids:
-            member[self._cyclic_power_ids(int(gen))] = True
-            if limit is not None and int(member.sum()) > limit:
+        # in a couple of further levels instead of a quadratic cascade.  A
+        # generator inside an earlier chain adds nothing and is skipped;
+        # callers that pass a whole member set as generators rely on that.
+        for gen in gen_ids.tolist():
+            if member[gen]:
+                continue
+            chain = self._cyclic_power_ids(gen)
+            count += int(np.count_nonzero(~member[chain]))
+            member[chain] = True
+            if limit is not None and count > limit:
                 raise GroupError(f"subgroup closure exceeded limit {limit}")
+        # Every chain holds its generator's inverse, so ``gens_ext`` is
+        # already inside ``member``.
+        gens_ext = np.unique(np.concatenate([gen_ids, self.inv_many(gen_ids)]))
         current = np.flatnonzero(member).astype(np.int64)
         frontier = current
         # Doubling closes in O(log |H|) levels but its total pair count is
@@ -639,12 +552,8 @@ class CayleyBackend:
         # the closure switches to generator-step BFS, whose total pair
         # count is |H| * |gens_ext|.  The switch is complete: every member
         # outside the live frontier was already multiplied by all of
-        # ``gens_ext`` (a subset of ``current`` since level 0).  Table mode
-        # memoizes pairs in the int32 table so its budget is generous;
-        # kernel mode recomputes every pair through the batch kernel plus a
-        # row search and leans on the linear tail much sooner.
-        pair_budget = (1 << 22) if self.mode == "table" else (1 << 17)
-        while frontier.size and frontier.size * current.size * 2 <= pair_budget:
+        # ``gens_ext`` (a subset of ``current`` since level 0).
+        while frontier.size and frontier.size * current.size * 2 <= _PAIR_BUDGET:
             # Both orders: a pair (a, b) with b discovered after a is covered
             # at b's level, where a is in `current` — a*b by the second block
             # and b*a by the first.
@@ -657,13 +566,15 @@ class CayleyBackend:
             if limit is not None and current.size > limit:
                 raise GroupError(f"subgroup closure exceeded limit {limit}")
             frontier = fresh
+        count = int(np.count_nonzero(member))
         while frontier.size:
             products = np.unique(
                 self.mul_many(np.repeat(frontier, gens_ext.size), np.tile(gens_ext, frontier.size))
             )
             fresh = products[~member[products]]
             member[fresh] = True
-            if limit is not None and int(member.sum()) > limit:
+            count += fresh.size
+            if limit is not None and count > limit:
                 raise GroupError(f"subgroup closure exceeded limit {limit}")
             frontier = fresh
         current = np.flatnonzero(member).astype(np.int64)
@@ -732,10 +643,10 @@ class CayleyBackend:
         cached = self._order_cache.get(element_id)
         if cached is not None:
             return cached
-        bound = self.group.exponent_bound() if self.mode == "kernel" else None
+        bound = self.group.exponent_bound() if self.full_enumeration else None
         if bound is not None:
-            # Kernel mode has no n^2 table to amortise a linear walk into;
-            # divide primes out of the exponent bound instead (O(log) muls).
+            # Divide primes out of the exponent bound: O(log) products
+            # instead of a linear walk.
             from repro.linalg.modular import element_order_from_exponent
 
             order = element_order_from_exponent(
@@ -768,26 +679,9 @@ class CayleyBackend:
         """
         element_id = int(element_id)
         subgroup_ids = np.asarray(subgroup_ids, dtype=np.int64)
-        if self._table is not None:
-            row = self._table[element_id, subgroup_ids]
-            missing = np.flatnonzero(row < 0)
-            if missing.size:
-                if self._kernel_rows is not None:
-                    filled = self._bulk_products(
-                        np.full(missing.size, element_id, dtype=np.int64),
-                        subgroup_ids[missing],
-                    )
-                    row[missing] = filled
-                    self._table[element_id, subgroup_ids[missing]] = filled
-                else:
-                    for idx in missing:
-                        row[idx] = self.mul(element_id, int(subgroup_ids[idx]))
-            return int(row.min())
-        if self.mode == "kernel":
+        if self.full_enumeration:
             return int(
-                self._bulk_products(
-                    np.full(subgroup_ids.size, element_id, dtype=np.int64), subgroup_ids
-                ).min()
+                self._products(np.full(subgroup_ids.size, element_id, dtype=np.int64), subgroup_ids).min()
             )
         return min(self.mul(element_id, int(b)) for b in subgroup_ids)
 
@@ -811,18 +705,11 @@ class CayleyBackend:
     # -- diagnostics ---------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
         """Cache-occupancy statistics (used by tests and the benchmark report)."""
-        if self._table is not None:
-            filled = int((self._table >= 0).sum())
-        else:
-            filled = len(self._mul_cache)
         return {
             "interned": len(self._elements),
-            "cached_products": filled,
-            "cached_inverses": (
-                int((self._inv_table >= 0).sum()) if self._inv_table is not None else len(self._inv_cache)
-            ),
-            "table_mode": int(self.mode == "table"),
-            "kernel_mode": int(self.mode == "kernel"),
+            "cached_products": len(self._mul_cache),
+            "cached_inverses": len(self._elements) if self.full_enumeration else len(self._inv_cache),
+            "kernel_mode": int(self.full_enumeration),
             "has_kernel": int(self.kernel is not None),
         }
 
@@ -830,11 +717,7 @@ class CayleyBackend:
         return f"<CayleyBackend {self.group.name} mode={self.mode} interned={len(self._elements)}>"
 
 
-def get_engine(
-    group: FiniteGroup,
-    table_limit: int = DEFAULT_TABLE_LIMIT,
-    kernel_limit: Optional[int] = None,
-) -> CayleyBackend:
+def get_engine(group: FiniteGroup) -> CayleyBackend:
     """The engine installed on ``group``, building (and installing) one if absent.
 
     Installation makes the group's default ``multiply_many``/``inverse_many``
@@ -842,24 +725,20 @@ def get_engine(
     """
     engine = getattr(group, "_cayley_engine", None)
     if engine is None:
-        engine = CayleyBackend(group, table_limit=table_limit, kernel_limit=kernel_limit)
+        engine = CayleyBackend(group)
         group._cayley_engine = engine
     return engine
 
 
-def maybe_engine(
-    group: FiniteGroup,
-    table_limit: int = DEFAULT_TABLE_LIMIT,
-    intern_limit: int = DEFAULT_INTERN_LIMIT,
-) -> Optional[CayleyBackend]:
+def maybe_engine(group: FiniteGroup) -> Optional[CayleyBackend]:
     """A guarded :func:`get_engine`: ``None`` when no usable encoding exists.
 
     The engine engages only when the group order is known without a fresh
     full enumeration (a concrete ``order()`` override or an already-cached
-    element list) and fits under ``intern_limit``, and when elements are
-    hashable.  Counted black-box wrappers are unwrapped so that the engine
-    memoizes the *uncounted* arithmetic — the wrapper keeps doing the (bulk)
-    accounting.
+    element list) and fits under ``DEFAULT_INTERN_LIMIT``, and when elements
+    are hashable.  Counted black-box wrappers are unwrapped so that the
+    engine memoizes the *uncounted* arithmetic — the wrapper keeps doing the
+    (bulk) accounting.
     """
     inner = getattr(group, "group", None)
     if isinstance(inner, FiniteGroup):
@@ -868,10 +747,10 @@ def maybe_engine(
     if existing is not None:
         return existing
     order = _cheap_order(group)
-    if order is None or order > intern_limit:
+    if order is None or order > DEFAULT_INTERN_LIMIT:
         return None
     try:
         hash(group.identity())
     except TypeError:
         return None
-    return get_engine(group, table_limit=table_limit, kernel_limit=intern_limit)
+    return get_engine(group)

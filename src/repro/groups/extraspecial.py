@@ -37,6 +37,7 @@ class _HeisenbergKernel(DenseKernel):
         self.p = p
         self.n = n
         self.width = 2 * n + 1
+        self.radices = (p,) * self.width
 
     def encode_many(self, elements: Sequence[HeisElement]) -> np.ndarray:
         if not elements:
@@ -46,8 +47,7 @@ class _HeisenbergKernel(DenseKernel):
     def decode_many(self, rows: np.ndarray) -> List[HeisElement]:
         n = self.n
         return [
-            (tuple(int(v) for v in row[:n]), tuple(int(v) for v in row[n : 2 * n]), int(row[2 * n]))
-            for row in rows
+            (tuple(row[:n]), tuple(row[n : 2 * n]), row[2 * n]) for row in np.asarray(rows).tolist()
         ]
 
     def compose_many(self, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:

@@ -133,10 +133,16 @@ def permutation_sign(p: Perm) -> int:
 
 
 class _PermKernel(DenseKernel):
-    """Dense rows are the image vectors themselves: ``width == degree``."""
+    """Dense rows are the image vectors themselves: ``width == degree``.
 
-    def __init__(self, degree: int):
+    A member is determined by the images of a stabiliser-chain ``base``, so
+    rows rank by those images alone: a rank space of ``degree**len(base)``.
+    """
+
+    def __init__(self, degree: int, base: Sequence[int]):
         self.width = degree
+        self.radices = (degree,) * degree
+        self.rank_columns = list(base)
 
     def encode_many(self, elements: Sequence[Perm]) -> np.ndarray:
         if not elements:
@@ -144,7 +150,7 @@ class _PermKernel(DenseKernel):
         return np.asarray(list(elements), dtype=np.int64)
 
     def decode_many(self, rows: np.ndarray) -> List[Perm]:
-        return [tuple(int(v) for v in row) for row in rows]
+        return [tuple(row) for row in np.asarray(rows).tolist()]
 
     def compose_many(self, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
         return _compose_images(rows_a, rows_b)
@@ -323,7 +329,7 @@ class PermutationGroup(FiniteGroup):
         return tuple(eval(code.decode()))  # noqa: S307 - diagnostics only
 
     def dense_kernel(self) -> _PermKernel:
-        return _PermKernel(self.degree)
+        return _PermKernel(self.degree, self.chain.base)
 
     # -- structure ---------------------------------------------------------------
     @property

@@ -40,11 +40,18 @@ class _ConcatKernel(DenseKernel):
     def __init__(self, kernels: Sequence[DenseKernel]):
         self.kernels = list(kernels)
         self.offsets: List[Tuple[int, int]] = []
+        radices: List[int] = []
+        rank_columns: List[int] = []
         start = 0
         for kernel in self.kernels:
             self.offsets.append((start, start + kernel.width))
+            radices.extend(kernel.radices)
+            rank_columns.extend(start + column for column in kernel.ranked_columns())
             start += kernel.width
         self.width = start
+        self.radices = tuple(radices)
+        if rank_columns != list(range(start)):
+            self.rank_columns = rank_columns
 
     def _slices(self, rows: np.ndarray) -> List[np.ndarray]:
         return [rows[:, lo:hi] for lo, hi in self.offsets]

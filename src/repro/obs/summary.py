@@ -36,8 +36,8 @@ def load_trace_events(paths: Sequence[str]) -> List[Dict[str, Any]]:
 def _phase_of(name: str) -> str:
     """The phase bucket of a span/timer name: the prefix before the first dot.
 
-    ``engine.build``, ``engine.fill.mul`` and ``engine.bulk.products`` all
-    land in the ``engine`` bucket; ``sampler.batch`` in ``sampler``;
+    ``engine.build`` and ``engine.bulk.mul`` both land in the ``engine``
+    bucket; ``sampler.batch`` in ``sampler``;
     ``noise.oracle_flip`` and ``noise.depolarise`` in ``noise`` (so a noisy
     run's corruption cost shows up as its own phase); a name without a dot
     is its own bucket.
@@ -52,7 +52,7 @@ def summarise_trace(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     "phases": {prefix: {span_count, span_s, timer_count, timer_s}},
     "metrics": snapshot, "events": n, "workers": [...]}``.  Phases bucket
     spans and metric timers by their name prefix (before the first dot), so
-    the engine's bulk-fill and batch-kernel work shows up as one ``engine``
+    the engine's build and batch-kernel work shows up as one ``engine``
     line next to ``solver`` and ``sampler``.  Nested spans each count their
     own wall time, so phase shares are of summed span time, not wall-clock.
     """

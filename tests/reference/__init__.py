@@ -12,6 +12,8 @@ here, as differential oracles for the parity tests:
 * :class:`PerRoundSampler` simulates every Fourier-sampling round from
   scratch: one domain scan (statevector) or one dual decomposition
   (analytic) per round, with no cache across rounds.
+* :class:`KernelLessHeisenberg` is ``H_p(1)`` without a dense kernel, so
+  its Cayley engine runs in sparse mode over the scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.groups import engine as _engine
+from repro.groups.extraspecial import HeisenbergGroup
 from repro.linalg.zmodule import annihilator, cyclic_decomposition
 from repro.quantum.qft import qft_probabilities_of_coset
 from repro.quantum.sampling import AbelianHSPOracle, FourierSampler, Vector
 
-__all__ = ["PerRoundSampler", "maybe_engine_bindings", "scalar_route"]
+__all__ = ["KernelLessHeisenberg", "PerRoundSampler", "maybe_engine_bindings", "scalar_route"]
 
 #: The real guarded engine factory, captured before any patching.
 MAYBE_ENGINE = _engine.maybe_engine
@@ -71,6 +74,16 @@ def scalar_route():
         yield
     finally:
         _rebind(_no_engine, MAYBE_ENGINE)
+
+
+class KernelLessHeisenberg(HeisenbergGroup):
+    """``H_p(1)`` with no dense kernel: its engine runs in sparse mode."""
+
+    def __init__(self, p: int):
+        super().__init__(p, 1)
+
+    def dense_kernel(self):
+        return None
 
 
 class PerRoundSampler(FourierSampler):

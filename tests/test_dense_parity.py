@@ -9,7 +9,7 @@ the experiment runner — byte-identical journal rows.  These tests pin that
 contract for every family in the instance registry, and a counting test
 double asserts the stronger structural claim behind the dense-kernel
 speedups: batch-protocol groups never see a scalar ``multiply`` call
-inside the Cayley table fills or the Fourier-sampling label loops.
+inside the Cayley engine's kernel blocks or the Fourier-sampling label loops.
 """
 
 from contextlib import nullcontext
@@ -117,14 +117,17 @@ class _ScalarMultiplyProbe:
         return False
 
 
-def test_table_fill_uses_no_scalar_multiplies():
+def test_kernel_block_uses_no_scalar_multiplies():
     group = dihedral_semidirect(16)
-    engine = get_engine(group)
-    assert engine.kernel is not None, "dihedral must expose a dense kernel"
-    ids = np.arange(group.order(), dtype=np.int64)
     with _ScalarMultiplyProbe(group) as probe:
+        engine = get_engine(group)
+        assert engine.mode == "kernel", "dihedral must expose a dense kernel"
+        ids = np.arange(group.order(), dtype=np.int64)
         engine.mul_many(np.repeat(ids, ids.size), np.tile(ids, ids.size))
         engine.inv_many(ids)
+        for a, b in ((1, 2), (3, 3), (5, 0)):
+            engine.mul(a, b)
+        engine.elements_of(engine.subgroup_ids(engine.intern_many(group.generators()[:1])))
     assert probe.calls == 0
 
 

@@ -667,7 +667,7 @@ class TestCli:
         "argv", [["ls"], ["prune", "--max-bytes", "0"]], ids=["ls", "prune"]
     )
     def test_removed_cache_subcommand_is_rejected(self, tmp_path, argv, capsys):
-        # Cayley tables live in memory now; an old on-disk cache is left alone
+        # engine arrays live in memory only; an old on-disk cache is left alone
         cache = tmp_path / "cayley"
         cache.mkdir()
         entry = cache / "cayley-aaa-table.npy"

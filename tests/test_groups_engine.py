@@ -1,4 +1,4 @@
-"""Property-based tests for the vectorized Cayley-table group engine.
+"""Property-based tests for the vectorized Cayley group engine.
 
 Three families of invariants:
 
@@ -7,7 +7,7 @@ Three families of invariants:
 * **engine arithmetic agrees with scalar group arithmetic** — ``mul_many``,
   ``inv_many``, ``conj_many``, ``power``, ``element_order``, subgroup and
   commutator closures all reproduce the per-element ``FiniteGroup`` results,
-  in both the dense-table and the sparse fallback mode;
+  in both the kernel mode and the sparse fallback mode;
 * **batch oracle accounting** — the bulk APIs on ``BlackBoxGroup`` and
   ``HidingOracle`` report exactly the totals of the equivalent scalar loops.
 """
@@ -29,7 +29,7 @@ from repro.groups.products import dihedral_semidirect
 from repro.groups.subgroup import generate_subgroup_elements
 from repro.groups.perm import symmetric_group
 
-from reference import PerRoundSampler, scalar_route
+from reference import KernelLessHeisenberg, PerRoundSampler, scalar_route
 
 settings.register_profile(
     "repro_engine", deadline=None, max_examples=30, suppress_health_check=[HealthCheck.too_slow]
@@ -43,15 +43,14 @@ def heisenberg_elements(p=3, n=1):
     return st.tuples(vec, vec, coord)
 
 
+def heisenberg(mode):
+    """``H_3(1)`` whose engine runs in ``mode``: kernel, or sparse without a kernel."""
+    return extraspecial_group(3) if mode == "kernel" else KernelLessHeisenberg(3)
+
+
 @pytest.fixture(scope="module")
-def table_engine():
+def kernel_engine():
     return CayleyBackend(extraspecial_group(3))
-
-
-@pytest.fixture(scope="module")
-def sparse_engine():
-    # Order 27 forced under a tiny table limit: exercises the fallback mode.
-    return CayleyBackend(extraspecial_group(3), table_limit=4)
 
 
 class TestInterning:
@@ -69,22 +68,24 @@ class TestInterning:
             for b, id_b in zip(elements, ids):
                 assert (id_a == id_b) == (a == b)
 
-    def test_table_mode_interns_whole_group(self, table_engine):
-        assert table_engine.mode == "table"
-        assert table_engine.interned_count == 27
+    def test_kernel_mode_interns_whole_group(self, kernel_engine):
+        assert kernel_engine.mode == "kernel"
+        assert kernel_engine.interned_count == 27
 
-    def test_table_mode_rejects_foreign_elements(self):
+    def test_kernel_mode_rejects_foreign_elements(self):
         engine = CayleyBackend(extraspecial_group(3))
         with pytest.raises(GroupError):
             engine.intern(((5,), (0,), 0))  # coordinates outside Z_3
+        with pytest.raises(GroupError):
+            engine.intern(((0, 0), (0,), 0))  # wrong width
 
 
 class TestArithmeticAgreement:
-    @pytest.mark.parametrize("mode", ["table", "sparse"])
+    @pytest.mark.parametrize("mode", ["kernel", "sparse"])
     @given(data=st.data())
     def test_mul_many_agrees_with_scalar_op(self, mode, data):
-        group = extraspecial_group(3)
-        engine = CayleyBackend(group, table_limit=4 if mode == "sparse" else 4096)
+        group = heisenberg(mode)
+        engine = CayleyBackend(group)
         assert engine.mode == mode
         pairs = data.draw(
             st.lists(st.tuples(heisenberg_elements(), heisenberg_elements()), min_size=1, max_size=16)
@@ -94,11 +95,11 @@ class TestArithmeticAgreement:
         got = engine.multiply_elements(elements_a, elements_b)
         assert got == [group.multiply(a, b) for a, b in zip(elements_a, elements_b)]
 
-    @pytest.mark.parametrize("mode", ["table", "sparse"])
+    @pytest.mark.parametrize("mode", ["kernel", "sparse"])
     @given(elements=st.lists(heisenberg_elements(), min_size=1, max_size=16))
     def test_inv_many_agrees_with_scalar_inverse(self, mode, elements):
-        group = extraspecial_group(3)
-        engine = CayleyBackend(group, table_limit=4 if mode == "sparse" else 4096)
+        group = heisenberg(mode)
+        engine = CayleyBackend(group)
         assert engine.inverse_elements(elements) == [group.inverse(a) for a in elements]
 
     @given(data=st.data())
@@ -125,11 +126,11 @@ class TestArithmeticAgreement:
             scalar_group, element
         )
 
-    @pytest.mark.parametrize("mode", ["table", "sparse"])
+    @pytest.mark.parametrize("mode", ["kernel", "sparse"])
     @given(generators=st.lists(heisenberg_elements(), min_size=1, max_size=3))
     def test_subgroup_closure_agrees_with_bfs(self, mode, generators):
-        group = extraspecial_group(3)
-        engine = CayleyBackend(group, table_limit=4 if mode == "sparse" else 4096)
+        group = heisenberg(mode)
+        engine = CayleyBackend(group)
         got = set(engine.elements_of(engine.subgroup_ids(engine.intern_many(generators))))
         assert got == set(generate_subgroup_elements(group, generators))
 
@@ -146,15 +147,16 @@ class TestArithmeticAgreement:
         want = set(generate_subgroup_elements(group, commutator_subgroup_generators(group)))
         assert set(engine.commutator_subgroup_elements()) == want
 
-    def test_fallback_mode_agrees_with_table_mode(self):
+    def test_sparse_mode_agrees_with_kernel_mode(self):
         group = extraspecial_group(3)
-        table = CayleyBackend(group)
-        sparse = CayleyBackend(group, table_limit=4)
+        kernel = CayleyBackend(group)
+        sparse = CayleyBackend(KernelLessHeisenberg(3))
+        assert (kernel.mode, sparse.mode) == ("kernel", "sparse")
         elements = group.element_list()
         for a in elements[:9]:
             for b in elements[:9]:
                 want = group.multiply(a, b)
-                assert table.element_of(table.mul(table.intern(a), table.intern(b))) == want
+                assert kernel.element_of(kernel.mul(kernel.intern(a), kernel.intern(b))) == want
                 assert sparse.element_of(sparse.mul(sparse.intern(a), sparse.intern(b))) == want
 
     def test_coset_label_constant_exactly_on_left_cosets(self):

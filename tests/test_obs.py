@@ -345,8 +345,8 @@ class TestTraceSummary:
         assert summary["spans"]["sampler.batch"]["counters"]["samples"] > 0
         # per-run metric deltas rode along as run_metrics events
         assert summary["metrics"]["timings"]  # linalg/engine timers present
-        # the phase buckets surface the engine's bulk-fill/batch-kernel work
-        # (spans plus engine.fill.* metric timers) next to solver and sampler
+        # the phase buckets surface the engine's build and batch-kernel work
+        # (spans plus engine.* metric timers) next to solver and sampler
         phases = summary["phases"]
         assert {"solver", "sampler", "engine"} <= set(phases)
         assert phases["engine"]["span_count"] > 0
